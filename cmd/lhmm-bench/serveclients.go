@@ -41,23 +41,19 @@ type serveClientsResult struct {
 	// of one sequential pass over every trajectory — identical digests
 	// across batching-off and batching-on servers prove byte parity.
 	ParityDigest string `json:"parity_digest"`
-	// Off/On/OnF32 are the measured arms; external runs fill only Live.
-	// OnF32 is the approximate float32 scoring mode (-f32): its bodies
-	// are NOT byte-identical to float64 and are excluded from the parity
-	// digest. ShadowOn is batching-off with candidate-model shadow
+	// Off/On are the measured arms; external runs fill only Live.
+	// ShadowOn is batching-off with candidate-model shadow
 	// mirroring enabled — serving-path bytes stay in the parity check,
 	// so the arm pins both shadow overhead and shadow transparency.
 	Off      *serveArm `json:"batching_off,omitempty"`
 	On       *serveArm `json:"batching_on,omitempty"`
-	OnF32    *serveArm `json:"batching_on_f32,omitempty"`
 	ShadowOn *serveArm `json:"shadow_on,omitempty"`
 	Live     *serveArm `json:"live,omitempty"`
 	// SpeedupX is On.ThroughputRPS / Off.ThroughputRPS (self-hosted
-	// runs only); SpeedupF32X the same for the float32 arm.
+	// runs only).
 	// ShadowFactorX is ShadowOn.ThroughputRPS / Off.ThroughputRPS —
 	// the serving-path cost of mirroring every request (sample 1).
 	SpeedupX      float64 `json:"speedup_x,omitempty"`
-	SpeedupF32X   float64 `json:"speedup_f32_x,omitempty"`
 	ShadowFactorX float64 `json:"shadow_factor_x,omitempty"`
 	// MeanBatchRows is the average rows per executed scheduler batch in
 	// the On arm (from sched.rows / sched.batches deltas).
@@ -233,27 +229,12 @@ func runServeClients(scale float64, trips, clients, dim int, url string, window,
 	tsOn.Close()
 	srvOn.Close()
 
-	// Arm 3: batching on, float32 scoring (approximate — measured for
-	// throughput, excluded from the parity check).
-	schedF32 := sched.New(sched.Config{Window: window, F32: true, MemoBytes: 64 << 20})
-	srvF32, tsF32, err := startServer(schedF32, false)
-	if err != nil {
-		return nil, "", err
-	}
-	res.OnF32, err = driveClients(tsF32.URL, bodies, clients, dur)
-	if err != nil {
-		return nil, "", err
-	}
-	tsF32.Close()
-	srvF32.Close()
-
 	if digestOff != digestOn {
 		return nil, "", fmt.Errorf("byte-parity violation: batching-off digest %s != batching-on %s", digestOff, digestOn)
 	}
 	res.ParityDigest = digestOn
 	if res.Off.ThroughputRPS > 0 {
 		res.SpeedupX = res.On.ThroughputRPS / res.Off.ThroughputRPS
-		res.SpeedupF32X = res.OnF32.ThroughputRPS / res.Off.ThroughputRPS
 		if res.ShadowOn != nil {
 			res.ShadowFactorX = res.ShadowOn.ThroughputRPS / res.Off.ThroughputRPS
 		}
@@ -373,14 +354,13 @@ func renderServeClients(r *serveClientsResult) string {
 	arm("batching off:", r.Off)
 	arm("shadow on:", r.ShadowOn)
 	arm("batching on:", r.On)
-	arm("on + f32:", r.OnF32)
 	if r.ShadowFactorX > 0 {
 		fmt.Fprintf(&b, "shadow factor: %.2fx serving throughput with full mirroring (identical-weights candidate)\n",
 			r.ShadowFactorX)
 	}
 	if r.SpeedupX > 0 {
-		fmt.Fprintf(&b, "speedup: %.2fx f64 (byte-identical), %.2fx f32 (approximate); window %.1fms, mean batch %.1f rows, %d deduped, %d memo hits\n",
-			r.SpeedupX, r.SpeedupF32X, r.BatchWindowMS, r.MeanBatchRows, r.DedupedRows, r.MemoHits)
+		fmt.Fprintf(&b, "speedup: %.2fx (byte-identical); window %.1fms, mean batch %.1f rows, %d deduped, %d memo hits\n",
+			r.SpeedupX, r.BatchWindowMS, r.MeanBatchRows, r.DedupedRows, r.MemoHits)
 	}
 	fmt.Fprintf(&b, "parity digest: %s\n", r.ParityDigest)
 	return b.String()

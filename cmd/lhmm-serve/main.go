@@ -95,7 +95,6 @@ func run(args []string) error {
 	batchWindow := fs.Duration("batch-window", 0, "cross-request micro-batch coalescing window (0 disables batching; float64 output is byte-identical either way)")
 	batchMax := fs.Int("batch-max", 0, "flush a micro-batch early once it holds this many rows (0 = default 512)")
 	batchWorkers := fs.Int("batch-workers", 0, "micro-batch executor goroutines (0 = GOMAXPROCS)")
-	f32 := fs.Bool("f32", false, "score micro-batches on the approximate float32 path (NOT byte-identical; excluded from parity)")
 	batchMemo := fs.Int("batch-memo", 64<<20, "byte budget of the cross-batch scored-row memo (0 disables; hits are bit-identical to recomputing)")
 	shadowModel := fs.String("shadow-model", "", "candidate model weights to shadow-score against live traffic (also loadable at runtime via POST /v1/shadow/load)")
 	shadowSample := fs.Float64("shadow-sample", 1, "fraction of completed match requests and sessions mirrored through the shadow candidate in [0,1]")
@@ -153,11 +152,8 @@ func run(args []string) error {
 			Window:    *batchWindow,
 			MaxRows:   *batchMax,
 			Workers:   *batchWorkers,
-			F32:       *f32,
 			MemoBytes: *batchMemo,
 		})
-	} else if *f32 {
-		return errors.New("-f32 requires -batch-window > 0")
 	}
 
 	// The loader runs once at startup and again on every reload: it
@@ -341,12 +337,8 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "lhmm-serve: serving %s on %s (dim %d, k %d, %d workers)\n",
 		ds.Name, *addr, *dim, *k, *workers)
 	if scheduler != nil {
-		prec := "float64, byte-identical"
-		if *f32 {
-			prec = "float32, approximate"
-		}
-		fmt.Fprintf(os.Stderr, "lhmm-serve: micro-batching scoring (window %s, %s)\n",
-			*batchWindow, prec)
+		fmt.Fprintf(os.Stderr, "lhmm-serve: micro-batching scoring (window %s, byte-identical)\n",
+			*batchWindow)
 	}
 	if *shadowModel != "" {
 		fmt.Fprintf(os.Stderr, "lhmm-serve: shadow-scoring candidate %s (sample %.2f)\n",

@@ -11,8 +11,9 @@ import (
 
 // The batched inference paths (obsScoreBatch, ScoreBatch,
 // SelfApplyAllWS-built context) must agree with the scalar reference
-// paths within 1e-12 — the scalar paths are what the seed shipped, so
-// this pins the perf rewrite to the original semantics.
+// scorers (oracle_test.go) within 1e-12 — the scalar paths are what
+// the seed shipped, so this pins the batched kernels to the original
+// semantics.
 
 const batchTol = 1e-12
 
@@ -37,10 +38,11 @@ func trainedModel(t *testing.T) (*Model, *session) {
 // (SelfApplyAllWS) equals running the attention per point.
 func TestContextMatchesPerPointAttention(t *testing.T) {
 	m, sess := trainedModel(t)
+	emb := sess.emb()
 	for i := 0; i < len(sess.ct); i++ {
-		q := &nn.Mat{R: 1, C: sess.ptEmb.C, W: sess.ptEmb.Row(i)}
-		want, _ := m.ObsAtt.Apply(q, sess.ptEmb, sess.ptEmb)
-		got := sess.ctx.Row(i)
+		q := &nn.Mat{R: 1, C: emb.C, W: emb.Row(i)}
+		want, _ := m.ObsAtt.Apply(q, emb, emb)
+		got := sess.ctxRow(i)
 		for j := range want.W {
 			if math.Abs(want.W[j]-got[j]) > batchTol {
 				t.Fatalf("point %d dim %d: ctx %v vs per-point %v", i, j, got[j], want.W[j])
@@ -50,8 +52,9 @@ func TestContextMatchesPerPointAttention(t *testing.T) {
 }
 
 // TestCandidatesMatchScalarObsScore: every candidate probability out of
-// the batched pool scoring equals the scalar obsScore re-normalized by
-// the cached pool softmax.
+// the batched pool scoring equals the scalar oracle re-normalized by
+// the cached pool softmax, and so does the one-row Score used for
+// shortcut pseudo-candidates.
 func TestCandidatesMatchScalarObsScore(t *testing.T) {
 	m, sess := trainedModel(t)
 	for i := 0; i < len(sess.ct); i++ {
@@ -60,18 +63,21 @@ func TestCandidatesMatchScalarObsScore(t *testing.T) {
 			t.Fatalf("point %d: no candidates", i)
 		}
 		for _, c := range cands {
-			sc := sess.obsScore(i, c.Seg, c.Dist)
+			sc := oracleObsScore(sess, i, c.Seg, c.Dist)
 			want := math.Exp(sc-sess.obsMax[i]) / sess.obsZ[i]
 			if math.Abs(want-c.Obs) > batchTol {
 				t.Fatalf("point %d seg %d: batched Obs %v vs scalar %v", i, c.Seg, c.Obs, want)
+			}
+			if got := sess.Score(sess.ct, i, &c); math.Abs(want-got) > batchTol {
+				t.Fatalf("point %d seg %d: one-row Score %v vs scalar %v", i, c.Seg, got, want)
 			}
 		}
 	}
 }
 
 // TestScoreBatchMatchesTransScore: the fused k×k transition batch
-// equals pairwise TransScore, with NaN exactly where the scalar path
-// reports unreachable.
+// equals the pairwise scalar oracle, with NaN exactly where the oracle
+// reports unreachable; the 1×1 transAdapter.Score agrees too.
 func TestScoreBatchMatchesTransScore(t *testing.T) {
 	m, sess := trainedModel(t)
 	for i := 1; i < len(sess.ct) && i <= 4; i++ {
@@ -82,7 +88,11 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 		for j := range from {
 			for kk := range to {
 				got := out[j*len(to)+kk]
-				want, ok := sess.TransScore(sess.ct, i, &from[j], &to[kk])
+				want, ok := oracleTransScore(sess, sess.ct, i, &from[j], &to[kk])
+				one, oneOK := transAdapter{sess}.Score(sess.ct, i, &from[j], &to[kk])
+				if oneOK != ok {
+					t.Fatalf("step %d pair (%d,%d): 1×1 reachability %v, oracle %v", i, j, kk, oneOK, ok)
+				}
 				if !ok {
 					if !math.IsNaN(got) {
 						t.Fatalf("step %d pair (%d,%d): batch %v for unreachable pair", i, j, kk, got)
@@ -91,6 +101,9 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 				}
 				if math.IsNaN(got) || math.Abs(want-got) > batchTol {
 					t.Fatalf("step %d pair (%d,%d): batch %v vs scalar %v", i, j, kk, got, want)
+				}
+				if one != got {
+					t.Fatalf("step %d pair (%d,%d): 1×1 Score %v vs batch %v", i, j, kk, one, got)
 				}
 			}
 		}

@@ -43,19 +43,6 @@ func benchSession(b *testing.B) (*session, []hmm.Candidate, []hmm.Candidate) {
 	return sess, from, to
 }
 
-// BenchmarkObsScoreScalar is the seed's per-candidate observation
-// scoring path (allocates per call: feature rows + MLP activations).
-func BenchmarkObsScoreScalar(b *testing.B) {
-	sess, _, to := benchSession(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range to {
-			sess.obsScore(1, to[j].Seg, to[j].Dist)
-		}
-	}
-}
-
 // BenchmarkObsScoreBatch is the batched pool scoring: two MLP batches
 // through pooled workspace scratch, zero steady-state allocations.
 func BenchmarkObsScoreBatch(b *testing.B) {
@@ -71,21 +58,6 @@ func BenchmarkObsScoreBatch(b *testing.B) {
 		sess.ws.Reset()
 		scores := sess.ws.TakeVec(len(to))
 		sess.obsScoreBatch(sess.ws, 1, to, scores)
-	}
-}
-
-// BenchmarkTransScoreScalar is the seed's pairwise transition scoring
-// over one k×k Viterbi step.
-func BenchmarkTransScoreScalar(b *testing.B) {
-	sess, from, to := benchSession(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range from {
-			for kk := range to {
-				sess.TransScore(sess.ct, 1, &from[j], &to[kk])
-			}
-		}
 	}
 }
 
@@ -113,5 +85,23 @@ func BenchmarkMatch(b *testing.B) {
 		if _, err := m.Match(ct); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStreamPush is the learned streaming driver over the same
+// trajectory: one fixed-lag stream pushed point by point and flushed
+// per op, so it compares per point with BenchmarkMatch.
+func BenchmarkStreamPush(b *testing.B) {
+	m, ct := benchModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm := m.NewStream(2)
+		for _, p := range ct {
+			if _, err := sm.Push(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sm.Flush()
 	}
 }

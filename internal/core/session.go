@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/geo"
 	"repro/internal/hmm"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -18,7 +20,7 @@ import (
 
 // Inference telemetry (internal/obs). Counters are interned by name,
 // so "hmm.match.degraded" here is the same instrument the hmm matcher
-// increments for its scalar-path fallbacks.
+// increments for the fallbacks it sees.
 var (
 	obsCoreMatches   = obs.Default.Counter("core.matches")
 	obsCoreMatchErrs = obs.Default.Counter("core.match.errors")
@@ -36,39 +38,47 @@ var (
 var fpBatchNaN = faultinject.New("core.trans.nan")
 
 // session holds the per-trajectory inference state: point embeddings,
-// context-aware point representations (Eq. 6), and a cache of per-road
-// trajectory relevance scores (Eq. 10). It implements both
-// hmm.ObservationModel and hmm.TransitionModel (including the batched
-// hmm.TransitionBatchModel fast path).
+// context-aware point representations (Eq. 6), the Eq. 9 key cache and
+// a memo of per-road trajectory relevance scores (Eq. 10). It
+// implements hmm.ObservationModel, and through transAdapter
+// hmm.TransitionModel and hmm.TransitionBatchModel.
 //
-// All learned scoring is batch-oriented: the per-point candidate pool
-// is scored through the Eq. 7/8 MLPs as one pool×d matrix product, and
-// each Viterbi step's k×k transition fan-out is fused through the
-// Eq. 12 MLP in a single product (see ScoreBatch). The scalar paths are
-// kept for shortcut pseudo-candidates and as the equivalence reference;
-// batched and scalar scoring agree bit-for-bit on the MLP stages
-// because row-at-a-time and batched matrix products accumulate each
-// output row in the same order.
+// One session type serves both drivers. An offline session (newSession)
+// knows the whole trajectory up front and attends over all of it; a
+// streaming session (NewStream) grows as points arrive and is causal —
+// point i attends over points 0..i only, and the key cache is rebuilt
+// whenever the trajectory has grown (stream.go). Scoring is otherwise
+// the same code: every learned score goes through the batched kernels
+// — the candidate pool as one pool×d product through the Eq. 7/8 MLPs,
+// each Viterbi step's k×k fan-out as one product through the Eq. 12
+// MLP (ScoreBatch). Single-candidate scores (shortcut pseudo-candidates,
+// the explain re-score) are one-row and 1×1 calls into the same
+// kernels.
 type session struct {
-	m  *Model
+	m *Model
+	// ct is the trajectory seen so far (the whole trajectory offline).
 	ct traj.CellTrajectory
 
-	// ws is the match-goroutine scratch workspace (from the shared nn
-	// pool, returned by release). Parallel transition workers take
-	// their own.
+	// ws is the offline session's scratch workspace (from the shared nn
+	// pool, returned by release). Streaming sessions leave it nil and
+	// take a pooled workspace per scoring call (see scratch), so an idle
+	// stream holds no scratch memory.
 	ws *nn.Workspace
 
-	ptEmb *nn.Mat // n×d raw point embeddings
-	ctx   *nn.Mat // n×d context-aware representations (Eq. 6)
+	n    int       // points absorbed
+	embW []float64 // n×d raw point embeddings
+	ctxW []float64 // n×d context-aware representations (Eq. 6)
 
-	// transKeys caches the key-side attention state of Eq. 9 over the
-	// trajectory's point embeddings, shared by every roadProb query.
-	transKeys *nn.AttKeys
+	// keys caches the key-side attention state of Eq. 9 over the first
+	// keysN point embeddings, shared by every road-probability query.
+	keys  *nn.AttKeys
+	keysN int
 
-	// roadP caches Eq. 10 per segment. roadMu guards it when the
-	// transition fan-out runs on multiple workers.
-	roadMu sync.Mutex
-	roadP  map[roadnet.SegmentID]float64
+	// roadP memoizes Eq. 10 per segment for the current keys.
+	roadP map[roadnet.SegmentID]float64
+
+	// routes is ScoreBatch's per-pair route scratch, reused across steps.
+	routes []roadnet.Route
 
 	// obsZ caches, per point, the softmax denominator over the
 	// candidate pool (Eq. 7 normalizes P_O across the candidate roads
@@ -76,9 +86,10 @@ type session struct {
 	obsZ   []float64
 	obsMax []float64
 
-	// deg counts batched scoring events that fell back to the
-	// classical explicit feature because the learned score came out
-	// NaN/Inf (degraded mode); folded into Result.Degraded by Match.
+	// deg counts degraded-mode fallbacks of single-pair transition
+	// scores (transAdapter.Score: shortcut pseudo-candidates and the
+	// explain re-score); the Viterbi fan-out reports its own through
+	// ScoreBatch's return value. Folded into Result.Degraded by Match.
 	deg atomic.Int64
 
 	// span, when non-nil, is the request's match span; observation-
@@ -91,30 +102,28 @@ type session struct {
 	obsT  float64
 }
 
-// newSession precomputes the trajectory-level state. The model must
-// have frozen embeddings (RefreshEmbeddings).
+// newSession precomputes the trajectory-level state of an offline
+// match: every point embedding and Eq. 6 for every point in one batched
+// self-attention pass over the whole trajectory. The model must have
+// frozen embeddings (RefreshEmbeddings).
 func (m *Model) newSession(ct traj.CellTrajectory) *session {
 	n, d := len(ct), m.Cfg.Dim
 	s := &session{
 		m:      m,
 		ct:     ct,
 		ws:     nn.GetWorkspace(),
-		ptEmb:  nn.NewMat(n, d),
-		ctx:    nn.NewMat(n, d),
+		n:      n,
+		embW:   make([]float64, n*d),
 		roadP:  make(map[roadnet.SegmentID]float64),
 		obsZ:   make([]float64, n),
 		obsMax: make([]float64, n),
 	}
 	for i, cp := range ct {
-		copy(s.ptEmb.Row(i), m.towerEmb(cp.Tower))
+		copy(s.embW[i*d:], m.towerEmb(cp.Tower))
 	}
-	// Eq. 6 for every point in one batched self-attention pass.
 	s.ws.Reset()
-	copy(s.ctx.W, m.ObsAtt.SelfApplyAllWS(s.ws, s.ptEmb).W)
+	s.ctxW = append([]float64(nil), m.ObsAtt.SelfApplyAllWS(s.ws, s.emb()).W...)
 	s.ws.Reset()
-	if !m.Cfg.DisableImplicitTrans {
-		s.transKeys = m.TransAtt.PrecomputeKeys(s.ptEmb)
-	}
 	return s
 }
 
@@ -125,6 +134,48 @@ func (s *session) release() {
 		nn.PutWorkspace(s.ws)
 		s.ws = nil
 	}
+}
+
+// scratch returns the workspace for one scoring call; done hands it
+// back. Offline that is the session's own workspace, in a stream a
+// pooled one.
+func (s *session) scratch() *nn.Workspace {
+	if s.ws != nil {
+		s.ws.Reset()
+		return s.ws
+	}
+	return nn.GetWorkspace()
+}
+
+func (s *session) done(ws *nn.Workspace) {
+	if ws != s.ws {
+		nn.PutWorkspace(ws)
+	}
+}
+
+// emb views the absorbed point embeddings as an n×d matrix.
+func (s *session) emb() *nn.Mat {
+	d := s.m.Cfg.Dim
+	return &nn.Mat{R: s.n, C: d, W: s.embW[: s.n*d : s.n*d]}
+}
+
+// ctxRow returns point i's context-aware representation.
+func (s *session) ctxRow(i int) []float64 {
+	d := s.m.Cfg.Dim
+	return s.ctxW[i*d : (i+1)*d]
+}
+
+// ensureKeys (re)builds the Eq. 9 key cache over every point absorbed
+// so far. A rebuild clears the road-probability memo: Eq. 10 conditions
+// on the whole trajectory context, which just changed. Offline the
+// cache is built once.
+func (s *session) ensureKeys() {
+	if s.keys != nil && s.keysN == s.n {
+		return
+	}
+	s.keys = s.m.TransAtt.PrecomputeKeys(s.emb())
+	s.keysN = s.n
+	clear(s.roadP)
 }
 
 // softmaxP1 is the positive-class probability of a 2-logit softmax,
@@ -139,96 +190,92 @@ func softmaxP1(l0, l1 float64) float64 {
 	return e1 / (e0 + e1)
 }
 
-// implicitObs evaluates Eq. 7 for one candidate: the probability that
-// segment sid is the true location of point i given the context-aware
-// representation. Scalar reference path; Candidates scores whole pools
-// through implicitObsBatch instead.
-func (s *session) implicitObs(i int, sid roadnet.SegmentID) float64 {
+// implicitObs fills imp with Eq. 7 for every candidate of point i: the
+// probability that the segment is the true location of the point given
+// its context-aware representation, as one P×2d product through the
+// Eq. 7 MLP. ws scratch; imp caller-owned.
+func (s *session) implicitObs(ws *nn.Workspace, i int, cands []hmm.Candidate, imp []float64) {
 	if s.m.Cfg.DisableImplicitObs {
-		return 0.5
+		for j := range imp {
+			imp[j] = 0.5
+		}
+		return
 	}
 	d := s.m.Cfg.Dim
-	feat := nn.NewMat(1, 2*d)
-	copy(feat.W[:d], s.m.segEmb(sid))
-	copy(feat.W[d:], s.ctx.Row(i))
-	logits := s.m.ObsMLP.Apply(feat)
-	return softmaxP1(logits.W[0], logits.W[1])
+	ctxRow := s.ctxRow(i)
+	feat := ws.Take(len(cands), 2*d)
+	for j := range cands {
+		row := feat.Row(j)
+		copy(row[:d], s.m.segEmb(cands[j].Seg))
+		copy(row[d:], ctxRow)
+	}
+	logits := s.m.applyMLP(ws, s.m.ObsMLP, feat) // P×2
+	for j := range cands {
+		lr := logits.Row(j)
+		imp[j] = softmaxP1(lr[0], lr[1])
+	}
 }
 
-// obsScore evaluates the fused point-road log-odds (Eq. 8's MLP) for
-// one candidate. The explicit distance feature is presented as a
-// calibrated Gaussian (the paper batch-normalizes it; a Gaussian of the
-// calibrated scale carries the same information in a shape the small
-// fuse MLP can use directly, so the classical Eq. 2 behaviour is the
-// learner's starting point rather than something it must rediscover).
-// Scalar reference path, used for shortcut pseudo-candidates.
-func (s *session) obsScore(i int, sid roadnet.SegmentID, dist float64) float64 {
-	feat := nn.RowVec(
-		s.implicitObs(i, sid),
-		s.m.gaussDist(dist),
-		s.m.Graph.CoOccurrenceNorm(s.ct[i].Tower, sid),
-	)
-	logits := s.m.ObsFuse.Apply(feat)
-	return logits.W[1] - logits.W[0]
-}
-
-// obsScoreBatch fills scores with the fused Eq. 8 log-odds of every
-// candidate of point i in two batched MLP applications: one P×2d
-// product through the Eq. 7 MLP and one P×3 product through the fuse
-// MLP, instead of P single-row calls. ws scratch; scores caller-owned.
-// The arithmetic lives in Model.obsScoreBatchCtx (stream.go), shared
-// with the streaming session.
+// obsScoreBatch fills scores with the fused point-road log-odds (Eq. 8's
+// MLP) of every candidate of point i: the Eq. 7 batch, then one P×3
+// product through the fuse MLP. The explicit distance feature is
+// presented as a calibrated Gaussian (the paper batch-normalizes it; a
+// Gaussian of the calibrated scale carries the same information in a
+// shape the small fuse MLP can use directly, so the classical Eq. 2
+// behaviour is the learner's starting point rather than something it
+// must rediscover). ws scratch; scores caller-owned.
 func (s *session) obsScoreBatch(ws *nn.Workspace, i int, cands []hmm.Candidate, scores []float64) {
-	s.m.obsScoreBatchCtx(ws, s.ct[i].Tower, s.ctx.Row(i), cands, scores)
-}
-
-// roadProb evaluates Eq. 10 with caching: the likelihood that segment
-// sid belongs to this trajectory. Safe for concurrent use (the cache is
-// mutex-guarded; the underlying inference is deterministic, so a rare
-// duplicated computation stores the same value). ws supplies scratch
-// and is Reset here — callers must not hold live ws buffers across it.
-func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
-	s.roadMu.Lock()
-	if p, ok := s.roadP[sid]; ok {
-		s.roadMu.Unlock()
-		obsRoadProbHits.Inc()
-		return p
+	p := len(cands)
+	imp := ws.TakeVec(p)
+	s.implicitObs(ws, i, cands, imp)
+	tower := s.ct[i].Tower
+	fuse := ws.Take(p, 3)
+	for j := range cands {
+		row := fuse.Row(j)
+		row[0] = imp[j]
+		row[1] = s.m.gaussDist(cands[j].Dist)
+		row[2] = s.m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	s.roadMu.Unlock()
-	obsRoadProbMiss.Inc()
-	d := s.m.Cfg.Dim
-	ws.Reset()
-	segRow := &nn.Mat{R: 1, C: d, W: s.m.segEmb(sid)}
-	xl, _ := s.transKeys.QueryWS(ws, segRow)
-	feat := ws.Take(1, 2*d)
-	copy(feat.W[:d], segRow.W)
-	copy(feat.W[d:], xl.W)
-	logits := s.m.TransMLP.ApplyWS(ws, feat)
-	p := softmaxP1(logits.W[0], logits.W[1])
-	s.roadMu.Lock()
-	s.roadP[sid] = p
-	s.roadMu.Unlock()
-	return p
+	logits := s.m.applyMLP(ws, s.m.ObsFuse, fuse) // P×2
+	for j := 0; j < p; j++ {
+		lr := logits.Row(j)
+		scores[j] = lr[1] - lr[0]
+	}
+	obsObsBatched.Add(int64(p))
 }
 
 // transFeatures assembles the Eq. 12 input for a movement into point i
 // along the given route: [implicit route relevance (Eq. 11), length
 // similarity, turn similarity]. straight is the hoisted straight-line
 // distance between points i-1 and i (identical for every pair of the
-// step's fan-out).
-func (s *session) transFeatures(ws *nn.Workspace, i int, route roadnet.Route, straight float64) [3]float64 {
-	var pRoute float64
-	if s.m.Cfg.DisableImplicitTrans {
-		pRoute = 0.5
-	} else {
+// step's fan-out). Every segment of the route must already be in the
+// road-probability memo (roadProbFill).
+func (s *session) transFeatures(route roadnet.Route, straight float64) [3]float64 {
+	pRoute := 0.5
+	if !s.m.Cfg.DisableImplicitTrans {
 		var sum float64
 		for _, sid := range route.Segs {
-			sum += s.roadProb(ws, sid)
+			sum += s.roadP[sid]
 		}
 		pRoute = sum / float64(len(route.Segs))
 	}
 	lenSim, turnSim := routeSims(s.m.Net, route, straight)
 	return [3]float64{pRoute, lenSim, turnSim}
+}
+
+// routeSims computes the explicit Eq. 12 features of a route: length
+// similarity against the straight-line distance and turn similarity
+// over consecutive segment bearings.
+func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (lenSim, turnSim float64) {
+	lenSim = math.Exp(-math.Abs(straight-route.Dist) / 500)
+	var turn float64
+	for j := 1; j < len(route.Segs); j++ {
+		a := net.Segment(route.Segs[j-1])
+		b := net.Segment(route.Segs[j])
+		turn += geoAngleDiff(a.Bearing(), b.Bearing())
+	}
+	turnSim = math.Exp(-turn / math.Pi)
+	return lenSim, turnSim
 }
 
 // geoAngleDiff is a tiny local wrapper to avoid importing geo for one
@@ -267,6 +314,77 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 	return pool
 }
 
+// poolCandidates materializes a candidate pool as hmm.Candidates with
+// their projections and point-to-road distances filled in.
+func poolCandidates(net *roadnet.Network, p geo.Point, pool []roadnet.SegmentID) []hmm.Candidate {
+	cands := make([]hmm.Candidate, 0, len(pool))
+	for _, sid := range pool {
+		c := hmm.Candidate{Seg: sid}
+		c.Proj, c.Frac = net.Project(sid, p)
+		c.Dist = c.Proj.Dist(p)
+		cands = append(cands, c)
+	}
+	return cands
+}
+
+// selectTopK softmax-normalizes the fused log-odds over the pool
+// (Eq. 7's softmax runs across the candidate roads of the point),
+// fills each candidate's Obs, and picks the top-k by learned
+// probability with the nearest third by geometric distance always
+// retained. It returns the chosen candidates in descending probability
+// order plus the pool's (max, normalizer) pair so later pseudo-
+// candidate scores stay on the same scale.
+func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate, float64, float64) {
+	mx := scores[0]
+	for _, v := range scores[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	var z float64
+	for _, v := range scores {
+		z += math.Exp(v - mx)
+	}
+	for j := range cands {
+		cands[j].Obs = math.Exp(scores[j]-mx) / z
+	}
+	if k >= len(cands) {
+		sort.Slice(cands, func(a, b int) bool { return cands[a].Obs > cands[b].Obs })
+		return cands, mx, z
+	}
+	// Mark the nearest k/3 by distance as guaranteed.
+	byDist := make([]int, len(cands))
+	for i := range byDist {
+		byDist[i] = i
+	}
+	sort.Slice(byDist, func(a, b int) bool { return cands[byDist[a]].Dist < cands[byDist[b]].Dist })
+	guaranteed := make(map[int]bool, k/3+1)
+	for _, idx := range byDist[:k/3+1] {
+		guaranteed[idx] = true
+	}
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ga, gb := guaranteed[order[a]], guaranteed[order[b]]
+		if ga != gb {
+			return ga
+		}
+		if cands[order[a]].Obs != cands[order[b]].Obs {
+			return cands[order[a]].Obs > cands[order[b]].Obs
+		}
+		return cands[order[a]].Seg < cands[order[b]].Seg
+	})
+	out := make([]hmm.Candidate, k)
+	for i := 0; i < k; i++ {
+		out[i] = cands[order[i]]
+	}
+	// Present in descending learned-probability order.
+	sort.Slice(out, func(a, b int) bool { return out[a].Obs > out[b].Obs })
+	return out, mx, z
+}
+
 // Candidates implements hmm.ObservationModel: the top-k pool segments
 // by learned observation probability — the pool scores softmax-
 // normalized per point (Eq. 7's softmax runs over the candidate roads
@@ -277,10 +395,12 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 // explicit distance feature into its ranking, §IV-C). The whole pool is
 // scored as one batch (obsScoreBatch).
 func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
-	pool := s.m.candidatePool(s.ct, i)
-	cands := poolCandidates(s.m.Net, s.ct[i].P, pool)
-	s.ws.Reset()
-	scores := s.ws.TakeVec(len(cands))
+	s.extend(ct)
+	pool := s.m.candidatePool(ct, i)
+	cands := poolCandidates(s.m.Net, ct[i].P, pool)
+	ws := s.scratch()
+	defer s.done(ws)
+	scores := ws.TakeVec(len(cands))
 	var t time.Time
 	if s.span != nil {
 		t = time.Now()
@@ -288,7 +408,7 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 			s.obsT0 = t
 		}
 	}
-	s.obsScoreBatch(s.ws, i, cands, scores)
+	s.obsScoreBatch(ws, i, cands, scores)
 	if s.span != nil {
 		s.obsT += time.Since(t).Seconds()
 	}
@@ -302,91 +422,65 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 }
 
 // Score implements hmm.ObservationModel for shortcut pseudo-candidates:
-// the fused score normalized by the point's cached pool softmax.
+// a one-row obsScoreBatch normalized by the point's cached pool softmax.
 func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	sc := s.obsScore(i, c.Seg, c.Dist)
+	s.extend(ct)
+	ws := s.scratch()
+	defer s.done(ws)
+	sc := ws.TakeVec(1)
+	s.obsScoreBatch(ws, i, []hmm.Candidate{*c}, sc)
 	if s.obsZ[i] == 0 {
 		// Candidates was never called for this point (single-point
 		// trajectories bypass transitions); fall back to the sigmoid.
-		return 1 / (1 + math.Exp(-sc))
+		return 1 / (1 + math.Exp(-sc[0]))
 	}
-	return math.Exp(sc-s.obsMax[i]) / s.obsZ[i]
+	return math.Exp(sc[0]-s.obsMax[i]) / s.obsZ[i]
 }
 
-// TransScore implements hmm.TransitionModel: the learned transition
-// probability of Eq. 12. Scalar reference path, used by the shortcut
-// pass; the Viterbi fan-out goes through ScoreBatch.
-func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
-	route, ok := s.m.Router.RouteBetween(from.Pos(), to.Pos())
-	if !ok || len(route.Segs) == 0 {
-		return 0, false
-	}
-	straight := s.ct[i-1].P.Dist(s.ct[i].P)
-	f := s.transFeatures(s.ws, i, route, straight)
-	logits := s.m.TransFuse.Apply(nn.RowVec(f[0], f[1], f[2]))
-	p := softmaxP1(logits.W[0], logits.W[1])
-	if g := s.m.transGamma.W.W[0]; g != 1 {
-		p = math.Pow(p, g)
-	}
-	return p, true
-}
-
-// roadProbFill batch-computes every uncached Eq. 10 road probability
-// referenced by the step's reachable routes: one multi-row attention
-// read-out (nn.AttKeys.QueryAllWS) plus one R×2d product through the
-// relevance MLP — routed through Model.Exec when a scheduler is
-// installed — instead of R single-row passes. Per-row arithmetic
-// mirrors roadProb exactly (MatMulInto is row-independent and the
-// qdot/softmax/read-out order is shared), so cached values are
-// bit-identical whichever path computed them; the scalar TransScore
-// path keeps reading the same cache.
-func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
+// roadProbFill computes every Eq. 10 road probability the routes
+// reference that is not yet memoized: one multi-row attention read-out
+// (nn.AttKeys.QueryAllWS) plus one R×2d product through the relevance
+// MLP — routed through Model.Exec when a scheduler is installed. Rows
+// are row-independent, so a memoized value does not depend on which
+// batch computed it.
+func (s *session) roadProbFill(ws *nn.Workspace, routes []roadnet.Route) {
 	if s.m.Cfg.DisableImplicitTrans {
 		return
 	}
-	// Unique uncached segments across the step, in first-encounter order
-	// (deterministic: routes are pair-indexed).
+	s.ensureKeys()
+	// Unique unmemoized segments, in first-encounter order
+	// (deterministic: routes are pair-indexed). A NaN placeholder marks
+	// a segment as queued.
 	var need []roadnet.SegmentID
-	seen := make(map[roadnet.SegmentID]bool)
-	s.roadMu.Lock()
 	for p := range routes {
-		if math.IsNaN(mask[p]) {
-			continue
-		}
 		for _, sid := range routes[p].Segs {
-			if seen[sid] {
-				continue
-			}
-			seen[sid] = true
 			if _, ok := s.roadP[sid]; !ok {
+				s.roadP[sid] = math.NaN()
 				need = append(need, sid)
 			}
 		}
 	}
-	s.roadMu.Unlock()
 	obsRoadProbMiss.Add(int64(len(need)))
 	if len(need) == 0 {
 		return
 	}
 	d := s.m.Cfg.Dim
-	segs := s.ws.Take(len(need), d)
+	segs := ws.Take(len(need), d)
 	for r, sid := range need {
 		copy(segs.Row(r), s.m.segEmb(sid))
 	}
-	xl := s.transKeys.QueryAllWS(s.ws, segs)
-	feat := s.ws.Take(len(need), 2*d)
-	for r := 0; r < len(need); r++ {
+	xl := s.keys.QueryAllWS(ws, segs)
+	feat := ws.Take(len(need), 2*d)
+	for r := range need {
 		row := feat.Row(r)
 		copy(row[:d], segs.Row(r))
 		copy(row[d:], xl.Row(r))
 	}
-	logits := s.m.applyMLP(s.ws, s.m.TransMLP, feat)
-	s.roadMu.Lock()
+	logits := s.m.applyMLP(ws, s.m.TransMLP, feat)
 	for r, sid := range need {
 		lr := logits.Row(r)
 		s.roadP[sid] = softmaxP1(lr[0], lr[1])
 	}
-	s.roadMu.Unlock()
 }
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
@@ -394,27 +488,30 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 // Route construction runs on Cfg.Parallel workers (the router's SSSP
 // cache is concurrency-safe), then every road probability the step's
 // routes reference is batch-filled in one shot (roadProbFill), the
-// explicit features are assembled from the warm cache, and one
-// (k·k)×3 matrix product through the Eq. 12 fuse MLP scores every
-// reachable pair at once. The per-step straight-line distance is
-// hoisted out of the pair loop. Results are identical to pairwise
-// TransScore regardless of worker count: feature rows are
-// pair-indexed, cached road probabilities are bit-identical whichever
-// path computed them, and the MLP products are row-independent.
-func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) {
+// explicit features are assembled from the warm memo, and one (k·k)×3
+// matrix product through the Eq. 12 fuse MLP scores every reachable
+// pair at once. The per-step straight-line distance is hoisted out of
+// the pair loop. Results do not depend on the worker count: feature
+// rows are pair-indexed and the MLP products are row-independent. It
+// returns how many pairs fell back to degraded mode.
+func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
+	s.extend(ct)
 	nFrom, nTo := len(from), len(to)
 	nPairs := nFrom * nTo
-	straight := s.ct[i-1].P.Dist(s.ct[i].P)
-	s.ws.Reset()
-	feat := s.ws.Take(nPairs, 3)
-	routes := make([]roadnet.Route, nPairs)
+	straight := ct[i-1].P.Dist(ct[i].P)
+	if cap(s.routes) < nPairs {
+		s.routes = make([]roadnet.Route, nPairs)
+	}
+	routes := s.routes[:nPairs]
 
 	// Phase 1: a route per pair, fanned out over workers. out doubles as
-	// the reachability mask (NaN = unreachable).
+	// the reachability mask (NaN = unreachable); an unreachable pair
+	// keeps an empty route.
 	routePair := func(p int) {
 		j, kk := p/nTo, p%nTo
 		route, ok := s.m.Router.RouteBetween(from[j].Pos(), to[kk].Pos())
 		if !ok || len(route.Segs) == 0 {
+			routes[p] = roadnet.Route{}
 			out[p] = math.NaN()
 			return
 		}
@@ -448,20 +545,25 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 		wg.Wait()
 	}
 
-	// Phase 2: batch every uncached road probability the step needs,
-	// then assemble the explicit features from the warm cache. Sharing
-	// s.ws with transFeatures is safe only because roadProbFill
-	// guarantees every roadProb read below is a cache hit (a miss would
-	// Reset the workspace under the live feat buffer).
-	s.roadProbFill(routes, out)
+	// Phase 2: batch every unmemoized road probability the step needs,
+	// then assemble the explicit features from the warm memo.
+	ws := s.scratch()
+	defer s.done(ws)
+	feat := ws.Take(nPairs, 3)
+	s.roadProbFill(ws, routes)
+	var hits int
 	for p := 0; p < nPairs; p++ {
 		row := feat.Row(p)
 		if math.IsNaN(out[p]) {
 			row[0], row[1], row[2] = 0, 0, 0
 			continue
 		}
-		f := s.transFeatures(s.ws, i, routes[p], straight)
+		f := s.transFeatures(routes[p], straight)
 		row[0], row[1], row[2] = f[0], f[1], f[2]
+		hits += len(routes[p].Segs)
+	}
+	if !s.m.Cfg.DisableImplicitTrans {
+		obsRoadProbHits.Add(int64(hits))
 	}
 
 	// Phase 3: one batched product through the fuse MLP. NaN in out is
@@ -472,8 +574,9 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	// feature — exactly the classical Eq. 3 exponential with β=500,
 	// already computed into the feature row — instead of silently
 	// reading as "unreachable" and breaking the chain.
-	logits := s.m.applyMLP(s.ws, s.m.TransFuse, feat) // nPairs×2
+	logits := s.m.applyMLP(ws, s.m.TransFuse, feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
+	degraded := 0
 	for p := 0; p < nPairs; p++ {
 		if math.IsNaN(out[p]) {
 			continue
@@ -487,18 +590,18 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 			pr = math.NaN()
 		}
 		if math.IsNaN(pr) || math.IsInf(pr, 0) {
+			degraded++
 			if fb := feat.Row(p)[1]; !math.IsNaN(fb) && !math.IsInf(fb, 0) {
 				pr = fb
 			} else {
 				out[p] = math.NaN()
-				s.deg.Add(1)
 				continue
 			}
-			s.deg.Add(1)
 		}
 		out[p] = pr
 	}
 	obsTransBatched.Add(int64(nPairs))
+	return degraded
 }
 
 // transAdapter exposes the session's transition scoring under the
@@ -506,13 +609,25 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 // hmm.ObservationModel).
 type transAdapter struct{ s *session }
 
+// Score is the learned transition probability of Eq. 12 for one pair:
+// a 1×1 ScoreBatch. Used by the shortcut pass and the explain re-score.
 func (t transAdapter) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
-	return t.s.TransScore(ct, i, from, to)
+	var out [1]float64
+	t.s.deg.Add(int64(t.s.ScoreBatch(ct, i, []hmm.Candidate{*from}, []hmm.Candidate{*to}, out[:])))
+	if math.IsNaN(out[0]) {
+		return 0, false
+	}
+	return out[0], true
 }
 
-// ScoreBatch forwards the batched fast path (hmm.TransitionBatchModel).
-func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) {
-	t.s.ScoreBatch(ct, i, from, to, out)
+// ScoreBatch forwards the batched fan-out (hmm.TransitionBatchModel).
+func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
+	return t.s.ScoreBatch(ct, i, from, to, out)
+}
+
+// matcher wraps a session in an hmm.Matcher with the model's router.
+func (m *Model) matcher(s *session, cfg hmm.Config) *hmm.Matcher {
+	return &hmm.Matcher{Net: m.Net, Router: m.Router, Obs: s, Trans: transAdapter{s}, Cfg: cfg}
 }
 
 // Match map-matches one cellular trajectory with the trained model.
@@ -587,25 +702,19 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		msp.ChildAt("session_init", spanT, time.Since(spanT))
 		sess.span = msp
 	}
-	matcher := &hmm.Matcher{
-		Net:    m.Net,
-		Router: m.Router,
-		Obs:    sess,
-		Trans:  transAdapter{sess},
-		Cfg: hmm.Config{
-			K:         m.Cfg.K,
-			Shortcuts: m.Cfg.Shortcuts,
-			OnBreak:   m.Cfg.OnBreak,
-			// Sanitization already ran above (session state must align
-			// with what the matcher sees); do not re-run it inside.
-			Sanitize:         traj.SanitizeOff,
-			Trace:            m.Cfg.Trace,
-			Parallel:         m.Cfg.Parallel,
-			Explain:          m.Cfg.Explain,
-			ExplainTopK:      m.Cfg.ExplainTopK,
-			ExplainLowMargin: m.Cfg.ExplainLowMargin,
-		},
-	}
+	matcher := m.matcher(sess, hmm.Config{
+		K:         m.Cfg.K,
+		Shortcuts: m.Cfg.Shortcuts,
+		OnBreak:   m.Cfg.OnBreak,
+		// Sanitization already ran above (session state must align
+		// with what the matcher sees); do not re-run it inside.
+		Sanitize:         traj.SanitizeOff,
+		Trace:            m.Cfg.Trace,
+		Parallel:         m.Cfg.Parallel,
+		Explain:          m.Cfg.Explain,
+		ExplainTopK:      m.Cfg.ExplainTopK,
+		ExplainLowMargin: m.Cfg.ExplainLowMargin,
+	})
 	res, err = matcher.MatchContext(ctx, ct)
 	if msp != nil && sess.obsT > 0 {
 		msp.ChildAt("observation", sess.obsT0,
@@ -617,8 +726,8 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 	}
 	res.Sanitize = srep
 	if d := int(sess.deg.Load()); d > 0 {
-		// Fold the batched-path fallbacks into the result and the
-		// shared degraded counter (the hmm layer counted its own).
+		// Fold the single-pair fallbacks into the result and the
+		// shared degraded counter (the hmm layer counted the fan-out's).
 		res.Degraded += d
 		obsCoreDegraded.Add(int64(d))
 	}

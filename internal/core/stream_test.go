@@ -2,8 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/faultinject"
+	"repro/internal/hmm"
+	"repro/internal/obs"
 	"repro/internal/traj"
 )
 
@@ -146,7 +150,7 @@ func TestNewStreamPolicyCarryover(t *testing.T) {
 	}
 }
 
-// Streaming and batch sessions share the scoring helpers; pin that a
+// Streaming and offline sessions share the scoring code; pin that a
 // candidate layer produced by each for the same first point agrees
 // (with a single point there is no look-ahead, so the causal context
 // equals the batch context and scores must match exactly).
@@ -160,8 +164,7 @@ func TestNewStreamFirstPointAgreesWithBatch(t *testing.T) {
 	defer sess.release()
 	batch := sess.Candidates(one, 0, m.Cfg.K)
 
-	ss := &streamSession{m: m, roadP: nil}
-	stream := ss.Candidates(one, 0, m.Cfg.K)
+	stream := m.newStreamSession().Candidates(one, 0, m.Cfg.K)
 
 	if len(batch) != len(stream) {
 		t.Fatalf("layer sizes differ: %d vs %d", len(batch), len(stream))
@@ -171,5 +174,166 @@ func TestNewStreamFirstPointAgreesWithBatch(t *testing.T) {
 			t.Fatalf("candidate %d differs: batch (%d, %v) vs stream (%d, %v)",
 				i, batch[i].Seg, batch[i].Obs, stream[i].Seg, stream[i].Obs)
 		}
+	}
+}
+
+// oracleStream is a small pairwise fixed-lag Viterbi over the scalar
+// oracle: candidates from a causal session, every transition scored one
+// pair at a time by oracleTransScore, and at each point the match
+// lag points back read off the backtrack from the current best
+// candidate. It returns the emitted segments in emission order, Flush
+// included (no dead points: the learned pool never comes up empty).
+func oracleStream(t *testing.T, m *Model, ct traj.CellTrajectory, lag int) []hmm.Candidate {
+	t.Helper()
+	s := m.newStreamSession()
+	var layers [][]hmm.Candidate
+	var f [][]float64
+	var pre [][]int
+	var out []hmm.Candidate
+	emit := func(upTo, from int) {
+		last := len(layers) - 1
+		idx := 0
+		for j, v := range f[last] {
+			if v > f[last][idx] {
+				idx = j
+			}
+		}
+		chain := make([]int, len(layers))
+		for i := last; i >= 0; i-- {
+			chain[i] = idx
+			if i == 0 {
+				break
+			}
+			if idx = pre[i][idx]; idx < 0 {
+				idx = 0
+				for j, v := range f[i-1] {
+					if v > f[i-1][idx] {
+						idx = j
+					}
+				}
+			}
+		}
+		for i := from; i <= upTo; i++ {
+			out = append(out, layers[i][chain[i]])
+		}
+	}
+	emitted := 0
+	for i := range ct {
+		pts := ct[:i+1]
+		layer := s.Candidates(pts, i, m.Cfg.K)
+		fi := make([]float64, len(layer))
+		pi := make([]int, len(layer))
+		for kk := range layer {
+			fi[kk], pi[kk] = layer[kk].Obs, -1
+			if i == 0 {
+				continue
+			}
+			best := math.Inf(-1)
+			for j := range layers[i-1] {
+				p, ok := oracleTransScore(s, pts, i, &layers[i-1][j], &layer[kk])
+				if !ok {
+					continue
+				}
+				if v := f[i-1][j] + p*layer[kk].Obs; v > best {
+					best, fi[kk], pi[kk] = v, v, j
+				}
+			}
+		}
+		layers, f, pre = append(layers, layer), append(f, fi), append(pre, pi)
+		if upTo := i - lag; upTo >= emitted {
+			emit(upTo, emitted)
+			emitted = upTo + 1
+		}
+	}
+	if emitted < len(ct) {
+		emit(len(ct)-1, emitted)
+	}
+	return out
+}
+
+// TestStreamMatchesPairwiseOracle: the learned stream, which fills each
+// step through the batched kernels and advances through the shared
+// recurrence, emits exactly what a pairwise Viterbi over the scalar
+// oracle emits, at several lags.
+func TestStreamMatchesPairwiseOracle(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	tr := d.TestTrips()[0]
+	ct := tr.Cell
+	if len(ct) > 14 {
+		ct = ct[:14]
+	}
+	for _, lag := range []int{0, 2, 5} {
+		sm := m.NewStream(lag)
+		var got []hmm.Candidate
+		for _, p := range ct {
+			out, err := sm.Push(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, out...)
+		}
+		got = append(got, sm.Flush()...)
+		want := oracleStream(t, m, ct, lag)
+		if len(got) != len(want) {
+			t.Fatalf("lag %d: stream emitted %d matches, oracle %d", lag, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Seg != want[i].Seg || got[i].Frac != want[i].Frac {
+				t.Fatalf("lag %d emission %d: stream seg %d, oracle seg %d", lag, i, got[i].Seg, want[i].Seg)
+			}
+		}
+	}
+}
+
+// A non-finite learned transition on a stream degrades to the explicit
+// feature inside the batched fan-out; the fallback must still count in
+// StreamMatcher.Degraded and in hmm.match.degraded, and a clean run
+// after disarming must match an unfaulted stream exactly.
+func TestChaosStreamTransNaN(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	if !obs.Default.Enabled() {
+		obs.Default.Enable()
+		t.Cleanup(obs.Default.Disable)
+	}
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	tr := d.TestTrips()[0]
+	run := func() *hmm.StreamMatcher {
+		sm := m.NewStream(2)
+		for _, p := range tr.Cell {
+			if _, err := sm.Push(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sm.Flush()
+		return sm
+	}
+	want := run()
+
+	faultinject.DisarmAll()
+	if err := faultinject.Arm("core.trans.nan:3"); err != nil {
+		t.Fatal(err)
+	}
+	counter := obs.Default.Counter("hmm.match.degraded")
+	before := counter.Value()
+	faulted := run()
+	if faulted.Degraded() == 0 {
+		t.Fatal("injected NaN transitions produced no degraded events on the stream")
+	}
+	if got := counter.Value() - before; got < int64(faulted.Degraded()) {
+		t.Fatalf("hmm.match.degraded moved by %d, stream counted %d", got, faulted.Degraded())
+	}
+	if len(faulted.Matched()) != len(tr.Cell) {
+		t.Fatalf("faulted stream matched %d of %d points", len(faulted.Matched()), len(tr.Cell))
+	}
+
+	faultinject.DisarmAll()
+	clean := run()
+	if clean.Degraded() != 0 {
+		t.Fatalf("disarmed stream counted %d degraded events", clean.Degraded())
+	}
+	if !reflect.DeepEqual(clean.Matched(), want.Matched()) || !reflect.DeepEqual(clean.Path(), want.Path()) {
+		t.Fatal("disarmed stream differs from the unfaulted one")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/hmm"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -477,9 +478,12 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 		posCount++
 		mk := func(sid roadnet.SegmentID, label int) ex {
 			d := m.Net.DistTo(sid, s.tr.Cell[i].P)
+			sess.ws.Reset()
+			imp := sess.ws.TakeVec(1)
+			sess.implicitObs(sess.ws, i, []hmm.Candidate{{Seg: sid}}, imp)
 			return ex{
 				f: [3]float64{
-					sess.implicitObs(i, sid),
+					imp[0],
 					m.gaussDist(d),
 					m.Graph.CoOccurrenceNorm(s.tr.Cell[i].Tower, sid),
 				},
@@ -535,7 +539,9 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 		}
 		ratio := float64(onPath) / float64(len(route.Segs))
 		straight := s.tr.Cell[i-1].P.Dist(s.tr.Cell[i].P)
-		exs = append(exs, ex{f: sess.transFeatures(sess.ws, i, route, straight), ratio: ratio})
+		sess.ws.Reset()
+		sess.roadProbFill(sess.ws, []roadnet.Route{route})
+		exs = append(exs, ex{f: sess.transFeatures(route, straight), ratio: ratio})
 	}
 	candK := m.Cfg.K / 3
 	if candK < 4 {

@@ -117,14 +117,16 @@ type TransitionModel interface {
 // implement: score the whole |from|×|to| transition fan-out of one
 // Viterbi step in a single call, so implementations can batch their
 // per-pair inference (one k²×d matrix product instead of k² row
-// products) and parallelize route construction internally. The matcher
-// prefers it over pairwise Score when present; both must return the
-// same probabilities.
+// products) and parallelize route construction internally. Both
+// drivers (Matcher and StreamMatcher) prefer it over pairwise Score
+// when present; both must return the same probabilities.
 type TransitionBatchModel interface {
 	// ScoreBatch fills out[j*len(to)+kk] with P_T(from[j] → to[kk]) for
 	// movement into point i, or NaN where the movement is impossible.
-	// out has length len(from)*len(to).
-	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64)
+	// out has length len(from)*len(to). It returns how many pairs the
+	// model itself degraded to a fallback score (non-finite model
+	// output); the driver adds them to its degraded count.
+	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int
 }
 
 // BreakPolicy selects how the matcher treats a dead point — one whose
@@ -305,12 +307,14 @@ type Config struct {
 	// flagged low-confidence (default 0.05).
 	ExplainLowMargin float64
 	// Parallel bounds the worker pool the per-step transition fan-out
-	// runs on when the transition model only supports pairwise Score
-	// (batch models parallelize internally). <=1 keeps the fan-out on
-	// the calling goroutine. Values >1 require Trans.Score (and the
-	// router behind it) to be safe for concurrent use; the matched
-	// output is identical either way because the Viterbi recurrence
-	// itself always runs sequentially over the memoized step table.
+	// runs on, in Match and StreamMatcher.Push alike, when the
+	// transition model only supports pairwise Score (a
+	// TransitionBatchModel parallelizes internally and ignores it).
+	// <=1 keeps the fan-out on the calling goroutine. Values >1 require
+	// Trans.Score (and the router behind it) to be safe for concurrent
+	// use; the matched output is identical either way because the
+	// Viterbi recurrence itself always runs sequentially over the
+	// filled step table.
 	Parallel int
 }
 
@@ -469,12 +473,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	pre := make([][]int, n) // index into layers[i-1]; -1 for none
 	steps := make([][][]float64, n)
 	first := alive[0]
-	f[first] = make([]float64, len(layers[first]))
-	pre[first] = make([]int, len(layers[first]))
-	for j := range layers[first] {
-		f[first][j] = m.accum(layers[first][j].Obs)
-		pre[first][j] = -1
-	}
+	f[first], pre[first], _, _ = m.advance(nil, layers[first], nil)
 	var nBreaks int64
 	var batchBuf []float64 // reused across steps by the batch-model path
 	for ai := 1; ai < len(alive); ai++ {
@@ -483,64 +482,29 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			return nil, fmt.Errorf("hmm: match canceled at step %d: %w", alive[ai], err)
 		}
 		i, p := alive[ai], alive[ai-1]
-		f[i] = make([]float64, len(layers[i]))
-		pre[i] = make([]int, len(layers[i]))
 		if p != i-1 {
 			// Dead gap: no transition evidence bridges it (the models
 			// score adjacent points only), so the chain restarts from
 			// fresh observation scores on the far side.
-			for kk := range layers[i] {
-				f[i][kk] = m.accum(layers[i][kk].Obs)
-				pre[i][kk] = -1
-			}
+			f[i], pre[i], _, _ = m.advance(nil, layers[i], nil)
 			continue
-		}
-		steps[i] = make([][]float64, len(layers[i-1]))
-		for j := range layers[i-1] {
-			steps[i][j] = make([]float64, len(layers[i]))
-			for kk := range steps[i][j] {
-				steps[i][j][kk] = math.NaN()
-			}
 		}
 		// Phase 1: score the whole transition fan-out into the step
 		// table — batched, parallel, or pairwise-sequential.
 		tdone := stage(&st.TransitionS)
+		steps[i] = stepTable(nil, len(layers[i-1]), len(layers[i]))
 		batchBuf = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], steps[i], batchBuf, &deg)
 		tdone()
 		// Phase 2: the Viterbi recurrence over the memoized table,
 		// always sequential so results do not depend on scheduling.
-		restarts, reachable := 0, 0
-		for kk := range layers[i] {
-			best, bestJ := math.Inf(-1), -1
-			for j := range layers[i-1] {
-				w := steps[i][j][kk]
-				if math.IsNaN(w) {
-					nBlocked++
-					continue
-				}
-				reachable++
-				if math.IsInf(f[i-1][j], -1) {
-					continue
-				}
-				if s := f[i-1][j] + w; s > best {
-					best, bestJ = s, j
-				}
-			}
-			if bestJ < 0 {
-				// All predecessors unreachable: restart scoring here so
-				// one broken layer cannot void the whole trajectory.
-				f[i][kk] = m.accum(layers[i][kk].Obs)
-				pre[i][kk] = -1
-				restarts++
-				continue
-			}
-			f[i][kk] = best
-			pre[i][kk] = bestJ
-		}
-		nEval += int64(len(layers[i]) * len(layers[i-1]))
+		var restarts, reachable int
+		f[i], pre[i], restarts, reachable = m.advance(f[i-1], layers[i], steps[i])
+		evaluated := len(layers[i]) * len(layers[i-1])
+		nEval += int64(evaluated)
+		nBlocked += int64(evaluated - reachable)
 		if trace != nil {
 			pt := &trace.Points[i]
-			pt.TransEvaluated = len(layers[i]) * len(layers[i-1])
+			pt.TransEvaluated = evaluated
 			pt.TransReachable = reachable
 			pt.Restarts = restarts
 		}
@@ -710,6 +674,69 @@ func emitStageSpans(sp *obs.Span, start time.Time, st obs.StageTimings) {
 // nopStage is the shared no-op stage closer used when tracing is off.
 var nopStage = func() {}
 
+// advance computes the forward scores and backpointers of layer `to`
+// from the previous layer's scores fPrev and the filled step table
+// (steps[j][kk], NaN where unreachable): the recurrence of Algorithm 1,
+// shared by Matcher and StreamMatcher. Each candidate takes its best
+// predecessor, or restarts from its observation score when every
+// predecessor is unreachable, so one broken layer cannot void the
+// whole trajectory. A nil table (first point, or a dead gap behind)
+// restarts the chain for every candidate. It reports how many
+// candidates lost every predecessor and how many transitions were
+// reachable.
+func (m *Matcher) advance(fPrev []float64, to []Candidate, steps [][]float64) (f []float64, pre []int, restarts, reachable int) {
+	f = make([]float64, len(to))
+	pre = make([]int, len(to))
+	for kk := range to {
+		best, bestJ := math.Inf(-1), -1
+		if steps != nil {
+			for j := range fPrev {
+				w := steps[j][kk]
+				if math.IsNaN(w) {
+					continue
+				}
+				reachable++
+				if math.IsInf(fPrev[j], -1) {
+					continue
+				}
+				if s := fPrev[j] + w; s > best {
+					best, bestJ = s, j
+				}
+			}
+		}
+		if bestJ < 0 {
+			f[kk] = m.accum(to[kk].Obs)
+			pre[kk] = -1
+			if steps != nil {
+				restarts++
+			}
+			continue
+		}
+		f[kk] = best
+		pre[kk] = bestJ
+	}
+	return f, pre, restarts, reachable
+}
+
+// stepTable returns an nFrom×nTo step table with every entry NaN
+// (unreachable), reusing t's storage where it is large enough.
+func stepTable(t [][]float64, nFrom, nTo int) [][]float64 {
+	if cap(t) < nFrom {
+		t = make([][]float64, nFrom)
+	}
+	t = t[:nFrom]
+	for j := range t {
+		if cap(t[j]) < nTo {
+			t[j] = make([]float64, nTo)
+		}
+		t[j] = t[j][:nTo]
+		for kk := range t[j] {
+			t[j][kk] = math.NaN()
+		}
+	}
+	return t
+}
+
 // fillSteps populates the step table for the transition into point i:
 // steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN where
 // unreachable. A TransitionBatchModel scores the whole fan-out in one
@@ -727,7 +754,7 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 		} else {
 			buf = buf[:need]
 		}
-		bm.ScoreBatch(ct, i, from, to, buf)
+		deg.Add(int64(bm.ScoreBatch(ct, i, from, to, buf)))
 		for j := range from {
 			row := steps[j]
 			base := j * nTo

@@ -82,7 +82,7 @@ func TestParallelFanoutIdenticalToSequential(t *testing.T) {
 // pairwise path exactly.
 type batchEcho struct{ ExponentialTransition }
 
-func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) {
+func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int {
 	nTo := len(to)
 	for j := range from {
 		for kk := range to {
@@ -93,6 +93,7 @@ func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candida
 			out[j*nTo+kk] = p
 		}
 	}
+	return 0
 }
 
 func TestBatchModelIdenticalToPairwise(t *testing.T) {

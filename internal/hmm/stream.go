@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -55,6 +56,10 @@ type StreamMatcher struct {
 	srep    traj.SanitizeReport
 	lastT   float64
 	deg     atomic.Int64
+
+	// steps and buf are the step-fill scratch, reused across pushes.
+	steps [][]float64
+	buf   []float64
 }
 
 // NewStreamMatcher wraps a configured Matcher for streaming use.
@@ -105,6 +110,8 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 	if k <= 0 {
 		k = 30
 	}
+	degBefore := s.deg.Load()
+	defer func() { obsMatchDegraded.Add(s.deg.Load() - degBefore) }()
 	layer := s.M.Obs.Candidates(s.ct, i, k)
 	if fpDeadCandidates.Fail() {
 		layer = nil
@@ -113,7 +120,6 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 		if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
 			layer[j].Obs = s.M.fallbackObs(layer[j].Dist)
 			s.deg.Add(1)
-			obsMatchDegraded.Inc()
 		}
 	}
 	if len(layer) == 0 {
@@ -135,54 +141,24 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 	}
 	s.dead = append(s.dead, false)
 	s.layers = append(s.layers, layer)
-	f := make([]float64, len(layer))
-	pre := make([]int, len(layer))
-	pa := s.prevAlive(i)
-	switch {
-	case pa < 0:
-		// First alive point.
-		for j := range layer {
-			f[j] = s.M.accum(layer[j].Obs)
-			pre[j] = -1
-		}
-	case pa != i-1:
-		// Dead gap immediately behind: no transition evidence bridges
-		// it, so the chain restarts from fresh observation scores.
-		for j := range layer {
-			f[j] = s.M.accum(layer[j].Obs)
-			pre[j] = -1
-		}
-	default:
-		restarts := 0
-		for kk := range layer {
-			best, bestJ := math.Inf(-1), -1
-			for j := range s.layers[i-1] {
-				if math.IsInf(s.f[i-1][j], -1) {
-					continue
-				}
-				w, ok := s.M.stepScore(s.ct, i, &s.layers[i-1][j], &layer[kk], &s.deg)
-				if !ok {
-					continue
-				}
-				if sc := s.f[i-1][j] + w; sc > best {
-					best, bestJ = sc, j
-				}
-			}
-			if bestJ < 0 {
-				f[kk] = s.M.accum(layer[kk].Obs)
-				pre[kk] = -1
-				restarts++
-				continue
-			}
-			f[kk] = best
-			pre[kk] = bestJ
-		}
-		if restarts == len(layer) {
-			// The chain broke here: every candidate restarted from its
-			// observation score (the streaming analogue of the batch
-			// matcher's break-and-recover event).
-			obsStreamBreaks.Inc()
-		}
+	// The same step fill and recurrence as Matcher.MatchContext. With
+	// no alive point directly behind (first alive point, or a dead gap)
+	// there is no transition evidence and the chain restarts from
+	// fresh observation scores.
+	var fPrev []float64
+	var steps [][]float64
+	if i > 0 && !s.dead[i-1] {
+		fPrev = s.f[i-1]
+		s.steps = stepTable(s.steps, len(s.layers[i-1]), len(layer))
+		s.buf = s.M.fillSteps(context.Background(), s.ct, i, s.layers[i-1], layer, s.steps, s.buf, &s.deg)
+		steps = s.steps
+	}
+	f, pre, restarts, _ := s.M.advance(fPrev, layer, steps)
+	if restarts == len(layer) {
+		// The chain broke here: every candidate restarted from its
+		// observation score (the streaming analogue of the batch
+		// matcher's break-and-recover event).
+		obsStreamBreaks.Inc()
 	}
 	s.f = append(s.f, f)
 	s.pre = append(s.pre, pre)

@@ -36,10 +36,8 @@
 // /v1/reload) mid-batch creates new groups for new requests and can
 // never mix weights inside a product.
 //
-// Float64 mode is byte-identical to direct scoring and is the only
-// mode parity suites run. The optional float32 path (Config.F32)
-// trades that equality for throughput and is documented as
-// approximate.
+// Batched scoring is byte-identical to direct scoring; the parity
+// suites pin it.
 package sched
 
 import (
@@ -97,11 +95,6 @@ type Config struct {
 	// a single batch is one product (which may itself row-parallelize
 	// inside nn.MatMulInto).
 	Workers int
-	// F32, when true, runs batched products through the approximate
-	// float32 forward path (see nn.MLPF32). Output is NOT
-	// byte-identical to float64 scoring; never enable under a parity
-	// suite.
-	F32 bool
 	// MemoBytes, when > 0, bounds a cross-batch memo of computed output
 	// rows keyed by (MLP snapshot, input-row bits): correlated traffic —
 	// many concurrent requests over the same or overlapping trajectories
@@ -168,12 +161,6 @@ type Scheduler struct {
 	workersWG sync.WaitGroup
 	quit      chan struct{}
 
-	// f32 caches the float32 twin per MLP (built lazily on first use;
-	// entries for retired model snapshots are dropped wholesale when
-	// the cache grows past f32CacheMax).
-	f32mu sync.Mutex
-	f32   map[*nn.MLP]*nn.MLPF32
-
 	// memo is the cross-batch output-row cache (Config.MemoBytes),
 	// per-MLP so snapshot pinning is structural. memoBytes tracks the
 	// approximate key+value footprint against the budget.
@@ -181,11 +168,6 @@ type Scheduler struct {
 	memo      map[*nn.MLP]map[string][]float64
 	memoBytes int
 }
-
-// f32CacheMax bounds the float32 twin cache; reloads retire MLP
-// pointers, so the cache is cleared (and lazily rebuilt) when it
-// outgrows any plausible live-snapshot count.
-const f32CacheMax = 64
 
 // New starts a scheduler with cfg.Workers executor goroutines. With
 // cfg.Window <= 0 the scheduler is a pass-through: Submit executes
@@ -195,7 +177,6 @@ func New(cfg Config) *Scheduler {
 		cfg:    cfg.withDefaults(),
 		groups: make(map[*nn.MLP]*group),
 		quit:   make(chan struct{}),
-		f32:    make(map[*nn.MLP]*nn.MLPF32),
 		memo:   make(map[*nn.MLP]map[string][]float64),
 	}
 	if s.cfg.Window > 0 {
@@ -372,9 +353,9 @@ func (s *Scheduler) execute(b *batch) {
 	// Key each row by its raw float64 bits; the map lookup with
 	// string(key) is allocation-free, inserts copy the key once per
 	// unique miss row.
-	idx := make([]int32, 0, b.rows)      // per row: unique-miss index, or -1
-	var hit [][]float64                  // per row: memoized output, nil on miss
-	var missKeys []string                // per unique miss: its key (for memo insert)
+	idx := make([]int32, 0, b.rows) // per row: unique-miss index, or -1
+	var hit [][]float64             // per row: memoized output, nil on miss
+	var missKeys []string           // per unique miss: its key (for memo insert)
 	seen := make(map[string]int32, b.rows)
 	key := make([]byte, in*8)
 	uniq, hits := 0, 0
@@ -432,7 +413,7 @@ func (s *Scheduler) execute(b *batch) {
 				ri++
 			}
 		}
-		res = s.forward(ws, b.mlp, unique)
+		res = b.mlp.ApplyWS(ws, unique)
 	}
 
 	ri := 0
@@ -480,35 +461,9 @@ func (s *Scheduler) execute(b *batch) {
 // scheduler, or a single-item batch).
 func (s *Scheduler) applyDirect(mlp *nn.MLP, x, out *nn.Mat) {
 	ws := nn.GetWorkspace()
-	res := s.forward(ws, mlp, x)
+	res := mlp.ApplyWS(ws, x)
 	copy(out.W, res.W[:x.R*res.C])
 	nn.PutWorkspace(ws)
-}
-
-// forward applies mlp over x in the configured precision. The result
-// aliases ws.
-func (s *Scheduler) forward(ws *nn.Workspace, mlp *nn.MLP, x *nn.Mat) *nn.Mat {
-	if !s.cfg.F32 {
-		return mlp.ApplyWS(ws, x)
-	}
-	out := ws.Take(x.R, mlp.OutDim())
-	s.f32For(mlp).ApplyInto(out, x)
-	return out
-}
-
-// f32For returns (building if needed) the float32 twin of mlp.
-func (s *Scheduler) f32For(mlp *nn.MLP) *nn.MLPF32 {
-	s.f32mu.Lock()
-	f := s.f32[mlp]
-	if f == nil {
-		if len(s.f32) >= f32CacheMax {
-			s.f32 = make(map[*nn.MLP]*nn.MLPF32)
-		}
-		f = nn.NewMLPF32(mlp)
-		s.f32[mlp] = f
-	}
-	s.f32mu.Unlock()
-	return f
 }
 
 // Close flushes every queued group, waits for all dispatched batches

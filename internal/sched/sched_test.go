@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -210,33 +209,6 @@ func TestSchedSnapshotPinning(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestSchedF32 exercises the approximate path: close to float64 but
-// not required to be identical, and deterministic run-to-run.
-func TestSchedF32(t *testing.T) {
-	mlp := testMLP(t, 5)
-	s := New(Config{Window: 100 * time.Microsecond, MaxRows: 16, Workers: 2, F32: true})
-	defer s.Close()
-	rng := rand.New(rand.NewSource(8))
-	x := randMat(rng, 6, 6)
-	out1 := nn.NewMat(6, 2)
-	s.ApplyMLP(mlp, x, out1)
-	want := direct(mlp, x)
-	for i := range out1.W {
-		diff := math.Abs(out1.W[i] - want.W[i])
-		scale := math.Max(1, math.Abs(want.W[i]))
-		if diff/scale > 1e-4 {
-			t.Fatalf("f32 output too far from f64 at %d: %v vs %v", i, out1.W[i], want.W[i])
-		}
-	}
-	out2 := nn.NewMat(6, 2)
-	s.ApplyMLP(mlp, x, out2)
-	for i := range out1.W {
-		if out1.W[i] != out2.W[i] {
-			t.Fatal("f32 path not deterministic")
-		}
 	}
 }
 

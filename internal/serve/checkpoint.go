@@ -253,9 +253,7 @@ func (c *Checkpointer) SweepSync(ctx context.Context) error {
 	}
 }
 
-// persist encodes and durably writes one session's snapshot, with
-// bounded retry/backoff. Exhausted retries mark the store sick and
-// leave the session dirty for the next sweep.
+// persist encodes and durably writes one session's snapshot.
 func (c *Checkpointer) persist(s *Session) {
 	// Clear the queued flag before encoding: a push landing during the
 	// write re-queues the session rather than being lost.
@@ -269,7 +267,23 @@ func (c *Checkpointer) persist(s *Session) {
 		obs.Logger().Warn("serve: checkpoint encode failed", "session", s.ID, "err", err)
 		return
 	}
+	c.store(s, data, seq)
+}
+
+// store durably writes a snapshot encoded at seq, with bounded
+// retry/backoff. Exhausted retries mark the store sick and leave the
+// session dirty for the next sweep.
+//
+// A finish, delete, or TTL eviction can land while the snapshot is
+// being written: it marks the session gone and then removes its file,
+// possibly before the rename below puts one in place. So after the
+// rename the session is checked again: a session that is gone by then
+// has its file removed here. Either the remover's delete follows the
+// rename, or this check sees the session gone — a finished or evicted
+// session never leaves a snapshot that a later boot would restore.
+func (c *Checkpointer) store(s *Session, data []byte, seq uint64) {
 	backoff := c.cfg.Backoff
+	var err error
 	for attempt := 0; ; attempt++ {
 		err = c.writeSnapshot(s.ID, data)
 		if err == nil {
@@ -288,6 +302,10 @@ func (c *Checkpointer) persist(s *Session) {
 		backoff *= 2
 	}
 	c.setSick(false, nil)
+	if live, err := c.mgr.Get(s.ID); err != nil || live != s || s.finished.Load() {
+		c.Remove(s.ID, false)
+		return
+	}
 	s.ckptSeq.Store(seq)
 	obsCkptWrites.Inc()
 	obsCkptBytes.Add(int64(len(data)))

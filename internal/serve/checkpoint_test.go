@@ -132,6 +132,61 @@ func TestCheckpointRestartRecovery(t *testing.T) {
 	}
 }
 
+// A finish or TTL eviction that lands while a snapshot is being
+// written must not leave the snapshot on disk. The interleaving is
+// forced step by step: encode the live session, finish (or evict) it —
+// which removes its file — and only then write the encoded bytes.
+// Writing them blindly would put the file back, and the next boot
+// would restore the gone session as a ghost.
+func TestCheckpointGoneDuringWriteLeavesNoSnapshot(t *testing.T) {
+	_, m := fixture(t)
+	tr := sessionTrip(t)
+	wh := m.WeightsHash()
+	now := time.Unix(1_700_000_000, 0)
+	for _, evict := range []bool{false, true} {
+		dir := t.TempDir()
+		mgr := NewSessionManager(4, time.Minute)
+		ck, err := NewCheckpointer(CheckpointConfig{Dir: dir}, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.onRemove = ck.Remove
+		sess, err := mgr.Create(m, wh, 2, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := sess.push(tr[:len(tr)/2], now); err != nil {
+			t.Fatal(err)
+		}
+		data, seq, err := sess.encodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evict {
+			if n := mgr.Sweep(now.Add(time.Hour)); n != 1 {
+				t.Fatalf("evicted %d sessions, want 1", n)
+			}
+		} else {
+			if _, err := sess.finish(); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Remove(sess.ID)
+		}
+		ck.store(sess, data, seq)
+		if _, err := os.Stat(ck.path(sess.ID)); !os.IsNotExist(err) {
+			t.Fatalf("evict=%v: snapshot of a gone session survives the write: %v", evict, err)
+		}
+		boot := NewSessionManager(4, time.Minute)
+		ckB, err := NewCheckpointer(CheckpointConfig{Dir: dir}, boot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored, _ := ckB.Recover(m, wh, now, 0); restored != 0 {
+			t.Fatalf("evict=%v: next boot restored %d gone sessions", evict, restored)
+		}
+	}
+}
+
 // sessionTrip returns a streaming-suitable trip from the shared
 // fixture dataset.
 func sessionTrip(t *testing.T) traj.CellTrajectory {

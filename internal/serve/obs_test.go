@@ -240,9 +240,11 @@ func TestQualityDegradedByFaultInjection(t *testing.T) {
 	defer obs.SetLogger(old)
 
 	t.Cleanup(faultinject.DisarmAll)
-	// core.trans.nan poisons the batch scoring path (the learned
-	// model's), hmm.trans.nan the scalar one; arming both covers
-	// whichever the matcher takes.
+	// core.trans.nan poisons every learned transition score: the
+	// batched Viterbi fan-out and the 1×1 calls of the shortcut pass.
+	// hmm.trans.nan poisons the matcher's pairwise step score, which
+	// the shortcut pass and classical models go through. The Viterbi
+	// fan-out of a learned match only reaches core.trans.nan.
 	if err := faultinject.Arm("core.trans.nan,hmm.trans.nan"); err != nil {
 		t.Fatal(err)
 	}
