@@ -159,7 +159,7 @@ type witScratch struct {
 	verS []int32 // stamp for settled
 	verT []int32 // stamp for "is a target of the current one-to-many"
 	cur  int32
-	q    keyPQ
+	q    keyHeap
 }
 
 func (w *witScratch) init(n int) {
@@ -363,10 +363,10 @@ func (st *contractState) witnessSearch(u, v NodeID, maxD float64, cap, targets i
 	w.cur++
 	w.q = w.q[:0]
 	w.dist[u], w.tie[u], w.verD[u] = 0, 0, w.cur
-	w.q = append(w.q, keyItem{node: u})
+	w.q.push(keyItem{node: u})
 	settled := 0
 	for len(w.q) > 0 && settled < cap && targets > 0 {
-		cur := heap.Pop(&w.q).(keyItem)
+		cur := w.q.pop()
 		if w.verS[cur.node] == w.cur {
 			continue
 		}
@@ -392,7 +392,7 @@ func (st *contractState) witnessSearch(u, v NodeID, maxD float64, cap, targets i
 				continue
 			}
 			w.dist[e.to], w.tie[e.to], w.verD[e.to] = nd, nt, w.cur
-			heap.Push(&w.q, keyItem{node: e.to, dist: nd, tie: nt})
+			w.q.push(keyItem{node: e.to, dist: nd, tie: nt})
 		}
 	}
 }
@@ -539,7 +539,7 @@ type labelScratch struct {
 	tie  map[NodeID]uint64
 	par  map[NodeID]int32
 	done map[NodeID]bool
-	q    keyPQ
+	q    keyHeap
 }
 
 func (h *Hierarchy) getScratch() *labelScratch {
@@ -580,11 +580,11 @@ func (h *Hierarchy) buildLabel(root NodeID, forward bool, maxDist float64) *chLa
 	defer h.pool.Put(s)
 	bound := maxDist * (1 + 1e-9)
 	s.dist[root], s.tie[root], s.par[root] = 0, 0, -1
-	s.q = append(s.q, keyItem{node: root})
+	s.q.push(keyItem{node: root})
 	lab := &chLabel{}
 	settled := 0
 	for len(s.q) > 0 {
-		cur := heap.Pop(&s.q).(keyItem)
+		cur := s.q.pop()
 		if s.done[cur.node] {
 			continue
 		}
@@ -634,7 +634,7 @@ func (h *Hierarchy) buildLabel(root NodeID, forward bool, maxDist float64) *chLa
 				continue
 			}
 			s.dist[next], s.tie[next], s.par[next] = nd, nt, ei
-			heap.Push(&s.q, keyItem{node: next, dist: nd, tie: nt})
+			s.q.push(keyItem{node: next, dist: nd, tie: nt})
 		}
 	}
 	obsCHSettled.Add(int64(settled))
@@ -787,6 +787,11 @@ func hierarchyFromParts(net *Network, rank []int32, shortcuts []shortcutRecord) 
 		}
 		if ea.from != r.From || ea.to != eb.from || eb.to != r.To {
 			return nil, fmt.Errorf("roadnet: shortcut %d children do not chain %d->%d", i, r.From, r.To)
+		}
+		if r.From == r.To {
+			// Contraction never creates loops; a chain of them would
+			// unpack to exponentially long paths.
+			return nil, fmt.Errorf("roadnet: shortcut %d is a loop at node %d", i, r.From)
 		}
 		h.edges = append(h.edges, chEdge{
 			from: r.From, to: r.To,

@@ -24,6 +24,11 @@ package roadnet
 // Segment lengths are recomputed from the decoded shapes with the same
 // left-to-right fold Builder uses, so a loaded network is bit-identical
 // to one built from the same inputs.
+//
+// The decoder treats its input as untrusted: every record count is
+// checked against the bytes left in the payload before anything is
+// allocated, and coordinates must be finite and within ±maxCoord, so
+// memory stays proportional to the file and no input can panic it.
 
 import (
 	"encoding/binary"
@@ -40,6 +45,19 @@ const (
 	lnetVersion   = 1
 	lnetFlagCH    = 1 << 0
 	lnetKnownFlag = lnetFlagCH
+
+	// Encoded record sizes in bytes.
+	lnetNodeSize     = 16 // f64 x, f64 y
+	lnetSegmentSize  = 17 // u32 from, u32 to, u8 class, f64 speed
+	lnetOffsetSize   = 4  // u32 cumulative via-point offset
+	lnetViaSize      = 16 // f64 x, f64 y
+	lnetRankSize     = 4
+	lnetShortcutSize = 16
+
+	// maxCoord bounds decoded coordinates (planar meters): far beyond
+	// any city, small enough that extents, lengths and the spatial
+	// grid stay finite.
+	maxCoord = 1e9
 )
 
 type binWriter struct{ buf []byte }
@@ -90,6 +108,19 @@ func (r *binReader) u64() uint64 {
 }
 
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// point reads one coordinate pair, failing the reader on a non-finite
+// or out-of-range coordinate.
+func (r *binReader) point() geo.Point {
+	p := geo.Pt(r.f64(), r.f64())
+	if r.err == nil && !(math.Abs(p.X) <= maxCoord && math.Abs(p.Y) <= maxCoord) {
+		r.err = fmt.Errorf("roadnet: binary network coordinate %v out of range", p)
+	}
+	return p
+}
+
+// left returns the number of unread payload bytes.
+func (r *binReader) left() uint64 { return uint64(len(r.buf) - r.off) }
 
 // WriteBinary serializes the network — and, when h is non-nil, its
 // Contraction Hierarchy — in the LNET binary format.
@@ -184,14 +215,22 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		return nil, nil, fmt.Errorf("roadnet: unknown binary network flags %#x", flags)
 	}
 	nNodes, nSegs, nVia := r.u64(), r.u64(), r.u64()
-	const sane = 1 << 31
-	if nNodes == 0 || nSegs == 0 || nNodes > sane || nSegs > sane || nVia > sane {
-		return nil, nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points)", nNodes, nSegs, nVia)
+	// The counts must describe records that fit in what is left of the
+	// payload. need is compared only once each count is bounded on its
+	// own, when it cannot have overflowed.
+	left := r.left()
+	need := nNodes*lnetNodeSize + nSegs*lnetSegmentSize + (nSegs+1)*lnetOffsetSize + nVia*lnetViaSize
+	if flags&lnetFlagCH != 0 {
+		need += nNodes*lnetRankSize + 8
+	}
+	if nNodes == 0 || nSegs == 0 || nNodes > left/lnetNodeSize || nSegs > left/lnetSegmentSize ||
+		nVia > left/lnetViaSize || need > left {
+		return nil, nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points in %d bytes)", nNodes, nSegs, nVia, left)
 	}
 
 	nodes := make([]Node, nNodes)
 	for i := range nodes {
-		nodes[i] = Node{ID: NodeID(i), P: geo.Pt(r.f64(), r.f64())}
+		nodes[i] = Node{ID: NodeID(i), P: r.point()}
 	}
 	segments := make([]Segment, nSegs)
 	for i := range segments {
@@ -213,12 +252,12 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	for i := range viaOff {
 		viaOff[i] = r.u32()
 	}
-	if r.err == nil && uint64(viaOff[nSegs]) != nVia {
-		return nil, nil, fmt.Errorf("roadnet: via offsets end at %d, header says %d", viaOff[nSegs], nVia)
+	if r.err == nil && (viaOff[0] != 0 || uint64(viaOff[nSegs]) != nVia) {
+		return nil, nil, fmt.Errorf("roadnet: via offsets span [%d, %d), header says [0, %d)", viaOff[0], viaOff[nSegs], nVia)
 	}
 	viaPts := make([]geo.Point, nVia)
 	for i := range viaPts {
-		viaPts[i] = geo.Pt(r.f64(), r.f64())
+		viaPts[i] = r.point()
 	}
 	if r.err != nil {
 		return nil, nil, r.err
@@ -226,8 +265,8 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	for i := range segments {
 		s := &segments[i]
 		a, b := viaOff[i], viaOff[i+1]
-		if b < a {
-			return nil, nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i)
+		if b < a || uint64(b) > nVia {
+			return nil, nil, fmt.Errorf("roadnet: segment %d has invalid via offsets [%d, %d)", i, a, b)
 		}
 		shape := make(geo.Polyline, 0, int(b-a)+2)
 		shape = append(shape, nodes[s.From].P)
@@ -254,7 +293,7 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 			rank[i] = int32(v)
 		}
 		nSC := r.u64()
-		if nSC > sane {
+		if r.err == nil && nSC > r.left()/lnetShortcutSize {
 			return nil, nil, fmt.Errorf("roadnet: implausible shortcut count %d", nSC)
 		}
 		shortcuts := make([]shortcutRecord, nSC)

@@ -2,7 +2,11 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -184,4 +188,100 @@ func TestWriteBinaryRejectsForeignHierarchy(t *testing.T) {
 	if err := WriteBinary(&buf, n2, h); err == nil {
 		t.Error("hierarchy over a different network accepted")
 	}
+}
+
+// withCRC returns payload followed by its CRC-32 tail: a file the
+// decoder's checksum accepts, whatever the payload says.
+func withCRC(payload []byte) []byte {
+	out := append([]byte(nil), payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// lnetHeader returns a header-only payload announcing the given counts.
+func lnetHeader(flags uint32, nodes, segs, via uint64) []byte {
+	var w binWriter
+	w.buf = append(w.buf, lnetMagic...)
+	w.u32(lnetVersion)
+	w.u32(flags)
+	w.u64(nodes)
+	w.u64(segs)
+	w.u64(via)
+	return w.buf
+}
+
+// Header counts are checked against the bytes that follow them: a
+// 40-byte file with a valid checksum once asked make for ~51 GB.
+func TestBinaryRejectsOversizedCounts(t *testing.T) {
+	for _, c := range [][3]uint64{
+		{1 << 30, 1 << 30, 0},
+		{1, 1 << 31, 0},
+		{1, 1, 1 << 31},
+		{math.MaxUint64 / 8, 1, 0},
+	} {
+		if _, _, err := ReadBinary(bytes.NewReader(withCRC(lnetHeader(0, c[0], c[1], c[2])))); err == nil {
+			t.Errorf("header %v with no records accepted", c)
+		}
+	}
+	// Out-of-order via offsets and non-finite coordinates are rejected,
+	// not sliced or indexed.
+	n := buildShaped(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()[:buf.Len()-4]
+	viaOff := len(lnetMagic) + 8 + 24 + n.NumNodes()*lnetNodeSize + n.NumSegments()*lnetSegmentSize
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[viaOff+4:], 1000) // segment 0 ends past the via points
+	if _, _, err := ReadBinary(bytes.NewReader(withCRC(bad))); err == nil {
+		t.Error("via offset past the via points accepted")
+	}
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(bad[len(lnetMagic)+8+24:], math.Float64bits(math.NaN()))
+	if _, _, err := ReadBinary(bytes.NewReader(withCRC(bad))); err == nil {
+		t.Error("NaN coordinate accepted")
+	}
+}
+
+// FuzzReadBinary feeds arbitrary payloads to the LNET decoder with the
+// checksum refit, so mutations reach the decoder instead of stopping at
+// the CRC. Property: an error, never a panic; memory within a fixed
+// multiple of the input; and whatever decodes re-encodes to the same
+// bytes.
+func FuzzReadBinary(f *testing.F) {
+	for _, withH := range []bool{false, true} {
+		n := buildShaped(f)
+		var h *Hierarchy
+		if withH {
+			h = BuildHierarchy(n)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, n, h); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes()[:buf.Len()-4])
+	}
+	f.Add(lnetHeader(0, 1<<30, 1<<30, 0))
+	f.Add(lnetHeader(lnetFlagCH, 2, 1, 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := withCRC(payload)
+		allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocated)
+		before := allocated[0].Value.Uint64()
+		net, h, err := ReadBinary(bytes.NewReader(data))
+		metrics.Read(allocated)
+		if got, limit := allocated[0].Value.Uint64()-before, uint64(1<<20+1024*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, net, h); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("decoded network re-encodes to different bytes")
+		}
+	})
 }

@@ -72,15 +72,16 @@ type Segment struct {
 	Length float64 // meters, cached from Shape
 	Class  Class
 	Speed  float64 // free-flow speed, m/s
+
+	bearing float64 // start-to-end direction, computed once by assemble
 }
 
 // Midpoint returns the point halfway along the segment geometry.
 func (s *Segment) Midpoint() geo.Point { return s.Shape.At(s.Length / 2) }
 
-// Bearing returns the overall direction of travel (start to end).
-func (s *Segment) Bearing() float64 {
-	return s.Shape[0].Bearing(s.Shape[len(s.Shape)-1])
-}
+// Bearing returns the overall direction of travel (start to end),
+// precomputed when the network was built.
+func (s *Segment) Bearing() float64 { return s.bearing }
 
 // PointAt returns the point a fraction frac in [0,1] along the segment.
 func (s *Segment) PointAt(frac float64) geo.Point {
@@ -293,7 +294,8 @@ func assemble(nodes []Node, segments []Segment) *Network {
 
 	// Pack all polylines into one slab. Each Shape becomes a
 	// capacity-bounded view so an accidental append cannot clobber the
-	// next segment's geometry.
+	// next segment's geometry. Bearings are fixed here too: matchers
+	// read them on every routed hop.
 	total := 0
 	for i := range segments {
 		total += len(segments[i].Shape)
@@ -304,6 +306,7 @@ func assemble(nodes []Node, segments []Segment) *Network {
 		a := len(slab)
 		slab = append(slab, s.Shape...)
 		s.Shape = geo.Polyline(slab[a:len(slab):len(slab)])
+		s.bearing = s.Shape[0].Bearing(s.Shape[len(s.Shape)-1])
 	}
 	n.shapeSlab = slab
 

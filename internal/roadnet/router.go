@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"time"
@@ -64,36 +63,47 @@ type Router struct {
 	maxDist float64
 	hier    *Hierarchy // nil = flat per-source Dijkstra
 
-	mu       sync.Mutex
-	cache    map[NodeID]int // source -> slot index in entries
-	entries  []cacheSlot
-	hand     int // CLOCK sweep position
-	capacity int
+	capacity int // entries per cache
 
-	// CH label caches (hierarchy mode only), same CLOCK policy.
-	fwdLabels labelCache
-	bwdLabels labelCache
+	// Caches, all guarded by mu: flat single-source trees, or CH labels
+	// in hierarchy mode. Only one kind is ever filled per router.
+	mu        sync.Mutex
+	trees     clockCache[*ssspResult]
+	fwdLabels clockCache[*chLabel]
+	bwdLabels clockCache[*chLabel]
 }
 
-// cacheSlot is one CLOCK-cache slot. The reference bit is set on every
-// hit and gives the entry a second chance during the eviction sweep, so
-// hot sources survive scans of cold ones — the property an exact LRU
-// has without its cost of mutating a shared recency list on every hit.
-type cacheSlot struct {
-	source NodeID
-	tree   *ssspResult
-	ref    bool
-}
-
-// ssspResult holds a bounded single-source shortest-path tree. tie
-// carries each node's canonical tie-break key alongside its distance
-// (see segTie); parents always describe the unique minimum-(dist, tie)
-// path from the source.
+// ssspResult holds a bounded single-source shortest-path tree as two
+// dense arrays indexed by NodeID — 12 bytes per network node. Parents
+// always describe the unique minimum-(dist, tie) path from the source
+// (see segTie). Unreached nodes, and the source itself, have parent -1;
+// unreached nodes have dist +Inf.
 type ssspResult struct {
-	source NodeID
-	dist   map[NodeID]float64
-	tie    map[NodeID]uint64
-	parent map[NodeID]SegmentID // segment used to reach the node
+	dist   []float64
+	parent []int32 // SegmentID of the segment used to reach the node
+}
+
+// hops returns the number of segments on the tree path from the source
+// to node to, or -1 when to is unreached. to must not be the source.
+func (t *ssspResult) hops(net *Network, to NodeID) int {
+	n := 0
+	for p := t.parent[to]; p >= 0; p = t.parent[net.segments[p].From] {
+		n++
+	}
+	if n == 0 {
+		return -1
+	}
+	return n
+}
+
+// fill writes the tree path ending at node to into dst, whose length
+// must be hops(to).
+func (t *ssspResult) fill(net *Network, to NodeID, dst []SegmentID) {
+	for i := len(dst) - 1; i >= 0; i-- {
+		sid := SegmentID(t.parent[to])
+		dst[i] = sid
+		to = net.segments[sid].From
+	}
 }
 
 // RouterOption configures a Router.
@@ -129,12 +139,12 @@ func NewRouter(net *Network, opts ...RouterOption) *Router {
 	r := &Router{
 		net:      net,
 		maxDist:  30000,
-		cache:    make(map[NodeID]int),
 		capacity: 4096,
 	}
 	for _, o := range opts {
 		o(r)
 	}
+	r.trees.capacity = r.capacity
 	r.fwdLabels.capacity = r.capacity
 	r.bwdLabels.capacity = r.capacity
 	return r
@@ -159,8 +169,10 @@ func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 		return r.hier.distLabels(lf, lb, r.maxDist)
 	}
 	t := r.tree(from)
-	d, ok := t.dist[to]
-	return d, ok
+	if t.parent[to] < 0 {
+		return 0, false
+	}
+	return t.dist[to], true
 }
 
 // NodePath returns the segment sequence and length of the shortest
@@ -176,26 +188,13 @@ func (r *Router) NodePath(from, to NodeID) ([]SegmentID, float64, bool) {
 		return r.hier.pathLabels(lf, lb, r.maxDist)
 	}
 	t := r.tree(from)
-	d, ok := t.dist[to]
-	if !ok {
+	n := t.hops(r.net, to)
+	if n < 0 {
 		return nil, 0, false
 	}
-	// Walk parents back from to.
-	var rev []SegmentID
-	cur := to
-	for cur != from {
-		seg, ok := t.parent[cur]
-		if !ok {
-			return nil, 0, false // defensive: broken tree
-		}
-		rev = append(rev, seg)
-		cur = r.net.Segment(seg).From
-	}
-	path := make([]SegmentID, len(rev))
-	for i, s := range rev {
-		path[len(rev)-1-i] = s
-	}
-	return path, d, true
+	path := make([]SegmentID, n)
+	t.fill(r.net, to, path)
+	return path, t.dist[to], true
 }
 
 // RouteBetween returns the route from point a to point b, both given as
@@ -221,15 +220,30 @@ func (r *Router) RouteBetween(a, b PointOnRoad) (Route, bool) {
 			Segs: []SegmentID{a.Seg, b.Seg},
 		}, true
 	}
-	mid, d, ok := r.NodePath(segA.To, segB.From)
-	if !ok {
-		obsRouteMisses.Inc()
-		return Route{}, false
+	var segs []SegmentID
+	var d float64
+	if r.hier == nil {
+		// Fill the route straight from the tree: one allocation.
+		t := r.tree(segA.To)
+		n := t.hops(r.net, segB.From)
+		if n < 0 {
+			obsRouteMisses.Inc()
+			return Route{}, false
+		}
+		segs = make([]SegmentID, n+2)
+		t.fill(r.net, segB.From, segs[1:n+1])
+		d = t.dist[segB.From]
+	} else {
+		mid, md, ok := r.NodePath(segA.To, segB.From)
+		if !ok {
+			obsRouteMisses.Inc()
+			return Route{}, false
+		}
+		segs = make([]SegmentID, len(mid)+2)
+		copy(segs[1:], mid)
+		d = md
 	}
-	segs := make([]SegmentID, 0, len(mid)+2)
-	segs = append(segs, a.Seg)
-	segs = append(segs, mid...)
-	segs = append(segs, b.Seg)
+	segs[0], segs[len(segs)-1] = a.Seg, b.Seg
 	return Route{Dist: head + d + tail, Segs: segs}, true
 }
 
@@ -304,9 +318,7 @@ func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
 // tree returns the memoized bounded shortest-path tree rooted at from.
 func (r *Router) tree(from NodeID) *ssspResult {
 	r.mu.Lock()
-	if i, ok := r.cache[from]; ok {
-		r.entries[i].ref = true
-		t := r.entries[i].tree
+	if t, ok := r.trees.get(from); ok {
 		r.mu.Unlock()
 		obsCacheHits.Inc()
 		return t
@@ -326,90 +338,81 @@ func (r *Router) tree(from NodeID) *ssspResult {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.cache[from]; ok {
-		// Another goroutine computed it concurrently; keep theirs.
-		r.entries[i].ref = true
-		return r.entries[i].tree
+	if t2, ok := r.trees.get(from); ok {
+		return t2 // another goroutine computed it concurrently; keep theirs
 	}
-	if r.capacity <= 0 {
-		return t
-	}
-	if len(r.entries) < r.capacity {
-		r.cache[from] = len(r.entries)
-		r.entries = append(r.entries, cacheSlot{source: from, tree: t})
-	} else {
-		// CLOCK sweep: pass over referenced slots clearing their bit,
-		// evict the first unreferenced one. New entries start with the
-		// bit clear, so a scan of one-shot sources recycles its own
-		// slots before it can push out a recently re-used tree.
-		for r.entries[r.hand].ref {
-			r.entries[r.hand].ref = false
-			r.hand = (r.hand + 1) % len(r.entries)
-		}
-		victim := r.hand
-		delete(r.cache, r.entries[victim].source)
+	if r.trees.put(from, t, r.net.NumNodes()) {
 		obsCacheEvictions.Inc()
-		r.entries[victim] = cacheSlot{source: from, tree: t}
-		r.cache[from] = victim
-		r.hand = (victim + 1) % len(r.entries)
 	}
-	obsCacheSize.Set(int64(len(r.cache)))
+	obsCacheSize.Set(int64(len(r.trees.slots)))
 	return t
 }
 
-// labelCache memoizes per-node CH labels under the same CLOCK
-// (second-chance) policy as the flat tree cache. Not self-locking:
+// clockCache memoizes one value per node under an approximate-LRU
+// (CLOCK) policy. The reference bit is set on every hit and gives the
+// entry a second chance during the eviction sweep, so hot nodes survive
+// scans of cold ones — the property an exact LRU has without its cost
+// of mutating a shared recency list on every hit. Not self-locking:
 // callers hold Router.mu.
-type labelCache struct {
-	idx      map[NodeID]int
-	slots    []labelSlot
-	hand     int
+type clockCache[V any] struct {
+	idx      []int32 // node -> slot index + 1, 0 = absent; allocated on first put
+	slots    []clockSlot[V]
+	hand     int // CLOCK sweep position
 	capacity int
 }
 
-type labelSlot struct {
-	node  NodeID
-	label *chLabel
-	ref   bool
+type clockSlot[V any] struct {
+	node NodeID
+	val  V
+	ref  bool
 }
 
-func (c *labelCache) get(n NodeID) (*chLabel, bool) {
-	i, ok := c.idx[n]
-	if !ok {
-		return nil, false
+func (c *clockCache[V]) get(n NodeID) (V, bool) {
+	if c.idx != nil {
+		if i := c.idx[n]; i > 0 {
+			c.slots[i-1].ref = true
+			return c.slots[i-1].val, true
+		}
 	}
-	c.slots[i].ref = true
-	return c.slots[i].label, true
+	var zero V
+	return zero, false
 }
 
-func (c *labelCache) put(n NodeID, l *chLabel) {
+// put caches v for node n, which must be absent, in a network of
+// numNodes nodes. It reports whether an older entry was evicted.
+func (c *clockCache[V]) put(n NodeID, v V, numNodes int) (evicted bool) {
 	if c.capacity <= 0 {
-		return
+		return false
 	}
 	if c.idx == nil {
-		c.idx = make(map[NodeID]int)
+		c.idx = make([]int32, numNodes)
 	}
 	if len(c.slots) < c.capacity {
-		c.idx[n] = len(c.slots)
-		c.slots = append(c.slots, labelSlot{node: n, label: l})
-		return
+		c.slots = append(c.slots, clockSlot[V]{node: n, val: v})
+		c.idx[n] = int32(len(c.slots))
+		return false
 	}
+	// CLOCK sweep: pass over referenced slots clearing their bit, evict
+	// the first unreferenced one. New entries start with the bit clear,
+	// so a scan of one-shot nodes recycles its own slots before it can
+	// push out a recently re-used entry.
 	for c.slots[c.hand].ref {
 		c.slots[c.hand].ref = false
 		c.hand = (c.hand + 1) % len(c.slots)
 	}
 	victim := c.hand
-	delete(c.idx, c.slots[victim].node)
-	c.slots[victim] = labelSlot{node: n, label: l}
-	c.idx[n] = victim
+	c.idx[c.slots[victim].node] = 0
+	c.slots[victim] = clockSlot[V]{node: n, val: v}
+	c.idx[n] = int32(victim + 1)
 	c.hand = (victim + 1) % len(c.slots)
+	return true
 }
 
 // label returns the memoized CH label rooted at node, building it
 // outside the lock on a miss (concurrent builders race benignly; the
 // first insert wins and labels are interchangeable — the build is
 // deterministic).
-func (r *Router) label(c *labelCache, node NodeID, forward bool) *chLabel {
+func (r *Router) label(c *clockCache[*chLabel], node NodeID, forward bool) *chLabel {
 	r.mu.Lock()
 	if l, ok := c.get(node); ok {
 		r.mu.Unlock()
@@ -422,7 +425,7 @@ func (r *Router) label(c *labelCache, node NodeID, forward bool) *chLabel {
 	if l2, ok := c.get(node); ok {
 		return l2
 	}
-	c.put(node, l)
+	c.put(node, l, r.net.NumNodes())
 	return l
 }
 
@@ -474,79 +477,140 @@ func keyLess(d1 float64, t1 uint64, d2 float64, t2 uint64) bool {
 	return t1 < t2
 }
 
-// keyItem is a priority-queue entry carrying the canonical (dist, tie)
-// key; the node id is the final comparison so pop order is fully
-// deterministic.
+// keyItem is a search-queue entry carrying the canonical (dist, tie)
+// key; the node id is the final comparison, so the order is strict and
+// the pop sequence — and with it every tree, label and path — does not
+// depend on the heap's internal layout.
 type keyItem struct {
 	node NodeID
 	dist float64
 	tie  uint64
 }
 
-type keyPQ []keyItem
-
-func (q keyPQ) Len() int { return len(q) }
-func (q keyPQ) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+func (a keyItem) less(b keyItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	if q[i].tie != q[j].tie {
-		return q[i].tie < q[j].tie
+	if a.tie != b.tie {
+		return a.tie < b.tie
 	}
-	return q[i].node < q[j].node
+	return a.node < b.node
 }
-func (q keyPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *keyPQ) Push(x interface{}) { *q = append(*q, x.(keyItem)) }
-func (q *keyPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+// keyHeap is a binary min-heap of keyItems: the one queue of the flat
+// tree builds, CH witness searches and CH label builds. Typed, so
+// pushes and pops neither box items nor call through an interface.
+type keyHeap []keyItem
+
+func (h *keyHeap) push(it keyItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.less(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+	*h = q
+}
+
+func (h *keyHeap) pop() keyItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// treeScratch is the per-search state of a tree build that no query
+// reads once the tree is done: tie keys, reached/settled marks and the
+// queue. It is pooled, so a cold build allocates only the tree.
+type treeScratch struct {
+	tie  []uint64
+	mark []uint32 // == gen: reached this search; == gen+1: settled
+	gen  uint32
+	q    keyHeap
+}
+
+var treeScratchPool sync.Pool // *treeScratch
+
+// getTreeScratch returns scratch for a network of n nodes with fresh
+// marks: every stored mark is below the returned gen.
+func getTreeScratch(n int) *treeScratch {
+	s, _ := treeScratchPool.Get().(*treeScratch)
+	if s == nil || len(s.mark) < n {
+		s = &treeScratch{tie: make([]uint64, n), mark: make([]uint32, n)}
+	}
+	if s.gen >= math.MaxUint32-3 {
+		clear(s.mark)
+		s.gen = 0
+	}
+	s.gen += 2
+	s.q = s.q[:0]
+	return s
 }
 
 // dijkstra runs a bounded single-source shortest-path search under the
 // canonical (distance, tie) key order.
 func (r *Router) dijkstra(from NodeID) *ssspResult {
-	t := &ssspResult{
-		source: from,
-		dist:   map[NodeID]float64{from: 0},
-		tie:    map[NodeID]uint64{from: 0},
-		parent: map[NodeID]SegmentID{},
+	n := r.net.NumNodes()
+	t := &ssspResult{dist: make([]float64, n), parent: make([]int32, n)}
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+		t.parent[i] = -1
 	}
-	settled := make(map[NodeID]bool)
-	q := &keyPQ{{node: from}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(keyItem)
-		if settled[cur.node] {
+	s := getTreeScratch(n)
+	defer treeScratchPool.Put(s)
+	reached, settled := s.gen, s.gen+1
+	t.dist[from], s.tie[from], s.mark[from] = 0, 0, reached
+	s.q.push(keyItem{node: from})
+	for len(s.q) > 0 {
+		cur := s.q.pop()
+		if s.mark[cur.node] == settled {
 			continue
 		}
-		settled[cur.node] = true
+		s.mark[cur.node] = settled
 		if cur.dist > r.maxDist {
 			break
 		}
 		for _, sid := range r.net.Out(cur.node) {
-			seg := r.net.Segment(sid)
+			seg := &r.net.segments[sid]
 			nd := cur.dist + seg.Length
 			if nd > r.maxDist {
 				continue
 			}
 			nt := cur.tie + segTie(sid)
-			if od, ok := t.dist[seg.To]; !ok || keyLess(nd, nt, od, t.tie[seg.To]) {
-				t.dist[seg.To] = nd
-				t.tie[seg.To] = nt
-				t.parent[seg.To] = sid
-				heap.Push(q, keyItem{seg.To, nd, nt})
+			v := seg.To
+			if s.mark[v] < reached || keyLess(nd, nt, t.dist[v], s.tie[v]) {
+				t.dist[v], s.tie[v], t.parent[v] = nd, nt, int32(sid)
+				if s.mark[v] < reached {
+					s.mark[v] = reached
+				}
+				s.q.push(keyItem{v, nd, nt})
 			}
-		}
-	}
-	// Drop unsettled frontier entries beyond the bound so dist only
-	// contains final values.
-	for n, d := range t.dist {
-		if d > r.maxDist {
-			delete(t.dist, n)
-			delete(t.tie, n)
-			delete(t.parent, n)
 		}
 	}
 	return t

@@ -18,8 +18,7 @@ func TestRouterCacheHotSurvivesColdScan(t *testing.T) {
 	inCache := func(src NodeID) bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		_, ok := r.cache[src]
-		return ok
+		return r.trees.idx != nil && r.trees.idx[src] > 0
 	}
 
 	// Scan three capacities' worth of cold sources, touching the hot

@@ -198,7 +198,7 @@ func TestRouterCacheEviction(t *testing.T) {
 		}
 	}
 	r.mu.Lock()
-	size := len(r.cache)
+	size := len(r.trees.slots)
 	r.mu.Unlock()
 	if size > 2 {
 		t.Errorf("cache size %d exceeds capacity 2", size)

@@ -275,17 +275,21 @@ func (c *Checkpointer) persist(s *Session) {
 // session dirty for the next sweep.
 //
 // A finish, delete, or TTL eviction can land while the snapshot is
-// being written: it marks the session gone and then removes its file,
-// possibly before the rename below puts one in place. So after the
-// rename the session is checked again: a session that is gone by then
-// has its file removed here. Either the remover's delete follows the
-// rename, or this check sees the session gone — a finished or evicted
-// session never leaves a snapshot that a later boot would restore.
+// being written: it marks the session gone, drops it from the manager
+// and then removes its file (Remove). Each write attempt holds the
+// session's fileMu, as Remove does, and first checks that the session
+// is still live. So either the attempt sees the session gone and
+// writes nothing, or the remover waits for the rename and deletes the
+// file after it: once a finish, delete or eviction returns, no
+// snapshot of the session is on disk, and none appears later for a
+// boot to restore as a ghost.
 func (c *Checkpointer) store(s *Session, data []byte, seq uint64) {
 	backoff := c.cfg.Backoff
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.writeSnapshot(s.ID, data)
+		live, err := c.writeIfLive(s, data)
+		if !live {
+			return // gone: its file is the remover's to delete
+		}
 		if err == nil {
 			break
 		}
@@ -302,13 +306,20 @@ func (c *Checkpointer) store(s *Session, data []byte, seq uint64) {
 		backoff *= 2
 	}
 	c.setSick(false, nil)
-	if live, err := c.mgr.Get(s.ID); err != nil || live != s || s.finished.Load() {
-		c.Remove(s.ID, false)
-		return
-	}
 	s.ckptSeq.Store(seq)
 	obsCkptWrites.Inc()
 	obsCkptBytes.Add(int64(len(data)))
+}
+
+// writeIfLive writes the snapshot under the session's file lock unless
+// the session has left the manager or finished (live false).
+func (c *Checkpointer) writeIfLive(s *Session, data []byte) (live bool, err error) {
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
+	if cur, err := c.mgr.Get(s.ID); err != nil || cur != s || s.finished.Load() {
+		return false, nil
+	}
+	return true, c.writeSnapshot(s.ID, data)
 }
 
 // writeSnapshot runs the temp-file + fsync + atomic-rename protocol
@@ -389,13 +400,16 @@ func (c *Checkpointer) Sick() bool {
 	return c.sick
 }
 
-// Remove deletes a session's snapshot (finish, explicit delete, TTL
-// expiry). Missing files are fine — short sessions may finish before
+// Remove deletes the snapshot of a session that has left the manager
+// (finish, explicit delete, TTL expiry), waiting out a write of it in
+// flight. Missing files are fine — short sessions may finish before
 // their first checkpoint.
-func (c *Checkpointer) Remove(id string, expired bool) {
-	if err := os.Remove(c.path(id)); err != nil {
+func (c *Checkpointer) Remove(s *Session, expired bool) {
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
+	if err := os.Remove(c.path(s.ID)); err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			obs.Logger().Warn("serve: checkpoint remove failed", "session", id, "err", err)
+			obs.Logger().Warn("serve: checkpoint remove failed", "session", s.ID, "err", err)
 		}
 		return
 	}

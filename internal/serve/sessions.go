@@ -65,12 +65,16 @@ type Session struct {
 	// stamped into every snapshot; seq counts state-changing pushes and
 	// ckptSeq the last durably persisted seq, so seq != ckptSeq is the
 	// dirty predicate; ckptQueued dedups the async write queue;
-	// finished mirrors done for lock-free dirty checks.
+	// finished mirrors done for lock-free dirty checks. fileMu
+	// serializes the session's snapshot file: a write with its
+	// liveness check, against the removal on finish, delete or
+	// eviction.
 	wh         [32]byte
 	seq        atomic.Uint64
 	ckptSeq    atomic.Uint64
 	ckptQueued atomic.Bool
 	finished   atomic.Bool
+	fileMu     sync.Mutex
 
 	// Shadow mirroring (zero unless the session was sampled at create):
 	// the model+lag the session scores with, and every pushed point,
@@ -210,7 +214,7 @@ type SessionManager struct {
 	// leaving the manager; expired distinguishes TTL eviction from
 	// finish/delete. The checkpointer uses it to delete on-disk
 	// snapshots so the store cannot outgrow the live session set.
-	onRemove func(id string, expired bool)
+	onRemove func(s *Session, expired bool)
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -347,14 +351,14 @@ func (m *SessionManager) Get(id string) (*Session, error) {
 func (m *SessionManager) Remove(id string) {
 	sh := m.shard(id)
 	sh.mu.Lock()
-	_, ok := sh.m[id]
+	s, ok := sh.m[id]
 	delete(sh.m, id)
 	sh.mu.Unlock()
 	if ok {
 		m.count.Add(-1)
 		obsSessActive.Set(m.count.Load())
 		if m.onRemove != nil {
-			m.onRemove(id, false)
+			m.onRemove(s, false)
 		}
 	}
 }
@@ -368,7 +372,7 @@ func (m *SessionManager) Len() int { return int(m.count.Load()) }
 func (m *SessionManager) Sweep(now time.Time) int {
 	cutoff := now.Add(-m.ttl).UnixNano()
 	evicted := 0
-	var expired []string
+	var expired []*Session
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -377,7 +381,7 @@ func (m *SessionManager) Sweep(now time.Time) int {
 				delete(sh.m, id)
 				m.count.Add(-1)
 				evicted++
-				expired = append(expired, id)
+				expired = append(expired, s)
 			}
 		}
 		sh.mu.Unlock()
@@ -385,8 +389,8 @@ func (m *SessionManager) Sweep(now time.Time) int {
 	if m.onRemove != nil {
 		// Outside the shard locks: the hook deletes on-disk checkpoints
 		// (the store must not outlive its sessions).
-		for _, id := range expired {
-			m.onRemove(id, true)
+		for _, s := range expired {
+			m.onRemove(s, true)
 		}
 	}
 	if evicted > 0 {

@@ -69,6 +69,10 @@ func AutoCellSize(bounds geo.Rect, itemCount, targetPerCell int, minCell float64
 	} else {
 		cell = maxDim * float64(targetPerCell) / float64(itemCount)
 	}
+	// At most itemCount+16 cells along the longer side: without this a
+	// sliver-shaped extent (aspect ratio beyond ~4·itemCount, never a
+	// real city) would get a cell count unbounded by the item count.
+	cell = math.Max(cell, maxDim/float64(itemCount+16))
 	return math.Min(math.Max(cell, minCell), maxDim)
 }
 
