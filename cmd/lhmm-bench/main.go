@@ -19,8 +19,7 @@
 // files in the repo root are committed runs of this mode. -compare
 // diffs the finished run against such a committed document (wall-clock
 // and counter deltas) and exits nonzero when the counter schema
-// drifted. -parallel N fans each Viterbi step's transition batch out
-// over N workers; matched output is identical for any value.
+// drifted.
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k
@@ -103,7 +102,6 @@ func main() {
 	out := flag.String("out", "", "also write results to this file")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of text")
 	compare := flag.String("compare", "", "baseline lhmm-bench JSON file to diff this run against (exits nonzero on counter-schema drift)")
-	parallel := flag.Int("parallel", 0, "transition fan-out workers per match (<=1 keeps matching sequential; matched output is identical)")
 	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (CH vs flat routed-transition throughput, match latency) instead of -exp")
 	snapshot := flag.Bool("snapshot", false, "run the durable-session micro-benchmarks (snapshot encode/restore latency, bytes per session) instead of -exp")
 	serveClients := flag.Int("serve-clients", 0, "run the concurrent-clients serving workload with N clients instead of -exp (0 disables)")
@@ -197,7 +195,7 @@ func main() {
 		}
 	} else if *fullscale {
 		start := time.Now()
-		fs, text, err := runFullscale(*scale, *trips, *parallel)
+		fs, text, err := runFullscale(*scale, *trips)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lhmm-bench: fullscale: %v\n", err)
 			os.Exit(1)
@@ -214,8 +212,6 @@ func main() {
 	} else {
 		hzCfg := lhmm.DefaultSuite("hangzhou", *scale, *trips)
 		xmCfg := lhmm.DefaultSuite("xiamen", *scale, *trips)
-		hzCfg.LHMM.Parallel = *parallel
-		xmCfg.LHMM.Parallel = *parallel
 		hz := lhmm.NewSuite(hzCfg)
 		xm := lhmm.NewSuite(xmCfg)
 

@@ -70,7 +70,6 @@ func run(args []string) error {
 	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "seed the model was trained with")
-	parallel := fs.Int("parallel", 0, "transition fan-out workers per match (<=1 sequential; output identical)")
 	onBreak := fs.String("on-break", "error", "default dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "default input validation: strict|drop|off")
 	lag := fs.Int("lag", 2, "default streaming emit lag in points")
@@ -156,24 +155,24 @@ func run(args []string) error {
 		})
 	}
 
-	// The loader runs once at startup and again on every reload: it
-	// rebuilds a fresh model skeleton over the resident dataset and
-	// restores the (possibly replaced) weights file. Load validates
-	// every parameter before writing any, so a bad file fails the whole
-	// reload and the registry keeps the old model.
-	loader := func() (*lhmm.Model, error) {
+	// loadWeights rebuilds a fresh model skeleton over the resident
+	// dataset and restores a weights file. Load validates every
+	// parameter before writing any, so a bad file fails the whole load.
+	// The shadow mirror loads arbitrary candidate paths through it and
+	// never attaches the serving scheduler (mirrored work must not ride
+	// live micro-batches).
+	loadWeights := func(path string) (*lhmm.Model, error) {
 		cfg := lhmm.DefaultConfig()
 		cfg.Dim = *dim
 		cfg.K = *k
 		cfg.Seed = *seed
-		cfg.Parallel = *parallel
 		cfg.OnBreak = breakPolicy
 		cfg.Sanitize = sanitizeMode
 		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
 		if err != nil {
 			return nil, err
 		}
-		wf, err := os.Open(*modelPath)
+		wf, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
@@ -181,10 +180,17 @@ func run(args []string) error {
 		if err := m.Load(wf); err != nil {
 			return nil, err
 		}
-		if scheduler != nil {
+		return m, nil
+	}
+	// The registry loader runs once at startup and again on every
+	// reload of the (possibly replaced) -model file; a failed reload
+	// keeps the old model serving.
+	loader := func() (*lhmm.Model, error) {
+		m, err := loadWeights(*modelPath)
+		if err == nil && scheduler != nil {
 			m.Exec = scheduler
 		}
-		return m, nil
+		return m, err
 	}
 
 	reg := serve.NewRegistry(loader)
@@ -210,31 +216,6 @@ func run(args []string) error {
 		defer capture.Close() //nolint:errcheck // exiting anyway
 		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing matches to %s (sample %.2f)\n",
 			*captureOut, *captureSample)
-	}
-	// The shadow loader mirrors the registry loader but opens an
-	// arbitrary candidate path and never attaches the serving scheduler
-	// (mirrored work must not ride live micro-batches).
-	shadowLoader := func(path string) (*lhmm.Model, error) {
-		cfg := lhmm.DefaultConfig()
-		cfg.Dim = *dim
-		cfg.K = *k
-		cfg.Seed = *seed
-		cfg.Parallel = *parallel
-		cfg.OnBreak = breakPolicy
-		cfg.Sanitize = sanitizeMode
-		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		wf, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer wf.Close()
-		if err := m.Load(wf); err != nil {
-			return nil, err
-		}
-		return m, nil
 	}
 	var shadowCapture *serve.Capture
 	if *shadowCaptureOut != "" {
@@ -274,7 +255,7 @@ func run(args []string) error {
 		Capture:           capture,
 		Sched:             scheduler,
 		Shadow: serve.ShadowConfig{
-			Loader:    shadowLoader,
+			Loader:    loadWeights,
 			ModelPath: *shadowModel,
 			Sample:    *shadowSample,
 			Workers:   *shadowWorkers,

@@ -37,13 +37,17 @@ func (v *ivmmObservation) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Can
 	return cands
 }
 
-func (v *ivmmObservation) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	return v.votedScore(ct, i, c)
+func (v *ivmmObservation) Score(ct traj.CellTrajectory, i int, cands []hmm.Candidate) {
+	v.inner.Score(ct, i, cands)
+	for idx := range cands {
+		cands[idx].Obs = v.votedScore(ct, i, &cands[idx])
+	}
 }
 
-// votedScore blends the static Gaussian score with neighbor votes.
+// votedScore blends the static Gaussian score, which c.Obs holds on
+// entry, with neighbor votes.
 func (v *ivmmObservation) votedScore(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	static := v.inner.Score(ct, i, c)
+	static := c.Obs
 	var votes, weightSum float64
 	for j := i - v.window; j <= i+v.window; j++ {
 		if j < 0 || j >= len(ct) || j == i {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/hmm"
@@ -53,8 +52,8 @@ func TestContextMatchesPerPointAttention(t *testing.T) {
 
 // TestCandidatesMatchScalarObsScore: every candidate probability out of
 // the batched pool scoring equals the scalar oracle re-normalized by
-// the cached pool softmax, and so does the one-row Score used for
-// shortcut pseudo-candidates.
+// the cached pool softmax, and so does the batched Score that shortcut
+// pseudo-candidates go through (here over the whole pool in one call).
 func TestCandidatesMatchScalarObsScore(t *testing.T) {
 	m, sess := trainedModel(t)
 	for i := 0; i < len(sess.ct); i++ {
@@ -62,115 +61,76 @@ func TestCandidatesMatchScalarObsScore(t *testing.T) {
 		if len(cands) == 0 {
 			t.Fatalf("point %d: no candidates", i)
 		}
-		for _, c := range cands {
+		rescored := append([]hmm.Candidate(nil), cands...)
+		for j := range rescored {
+			rescored[j].Obs = 0
+		}
+		sess.Score(sess.ct, i, rescored)
+		for j, c := range cands {
 			sc := oracleObsScore(sess, i, c.Seg, c.Dist)
 			want := math.Exp(sc-sess.obsMax[i]) / sess.obsZ[i]
 			if math.Abs(want-c.Obs) > batchTol {
 				t.Fatalf("point %d seg %d: batched Obs %v vs scalar %v", i, c.Seg, c.Obs, want)
 			}
-			if got := sess.Score(sess.ct, i, &c); math.Abs(want-got) > batchTol {
-				t.Fatalf("point %d seg %d: one-row Score %v vs scalar %v", i, c.Seg, got, want)
+			if got := rescored[j].Obs; math.Abs(want-got) > batchTol {
+				t.Fatalf("point %d seg %d: batched Score %v vs scalar %v", i, c.Seg, got, want)
 			}
 		}
 	}
 }
 
-// TestScoreBatchMatchesTransScore: the fused k×k transition batch
-// equals the pairwise scalar oracle, with NaN exactly where the oracle
-// reports unreachable; the 1×1 transAdapter.Score agrees too.
+// TestScoreBatchMatchesTransScore: the fused transition batch equals
+// the pairwise scalar oracle, with NaN exactly where the oracle reports
+// unreachable; the one-pair transAdapter.Score agrees too. Two pair
+// lists per step: the k×k cross product of a Viterbi step, and a
+// shortcut-shaped list (a few pairs, repeated and out-of-order indices,
+// not a cross product).
 func TestScoreBatchMatchesTransScore(t *testing.T) {
 	m, sess := trainedModel(t)
 	for i := 1; i < len(sess.ct) && i <= 4; i++ {
 		from := sess.Candidates(sess.ct, i-1, m.Cfg.K)
 		to := sess.Candidates(sess.ct, i, m.Cfg.K)
-		out := make([]float64, len(from)*len(to))
-		sess.ScoreBatch(sess.ct, i, from, to, out)
-		for j := range from {
-			for kk := range to {
-				got := out[j*len(to)+kk]
-				want, ok := oracleTransScore(sess, sess.ct, i, &from[j], &to[kk])
-				one, oneOK := transAdapter{sess}.Score(sess.ct, i, &from[j], &to[kk])
+		cross := crossPairs(len(from), len(to))
+		var shortcut []hmm.Pair
+		for q := 0; q < 7; q++ {
+			shortcut = append(shortcut, hmm.Pair{From: (3 * q) % len(from), To: len(to) - 1 - q%len(to)})
+		}
+		shortcut = append(shortcut, shortcut[0])
+		for name, pairs := range map[string][]hmm.Pair{"cross": cross, "shortcut": shortcut} {
+			out := make([]float64, len(pairs))
+			sess.ScoreBatch(sess.ct, i, from, to, pairs, out)
+			for p, pr := range pairs {
+				got := out[p]
+				a, b := &from[pr.From], &to[pr.To]
+				want, ok := oracleTransScore(sess, sess.ct, i, a, b)
+				one, oneOK := transAdapter{sess}.Score(sess.ct, i, a, b)
 				if oneOK != ok {
-					t.Fatalf("step %d pair (%d,%d): 1×1 reachability %v, oracle %v", i, j, kk, oneOK, ok)
+					t.Fatalf("%s step %d pair %v: one-pair reachability %v, oracle %v", name, i, pr, oneOK, ok)
 				}
 				if !ok {
 					if !math.IsNaN(got) {
-						t.Fatalf("step %d pair (%d,%d): batch %v for unreachable pair", i, j, kk, got)
+						t.Fatalf("%s step %d pair %v: batch %v for unreachable pair", name, i, pr, got)
 					}
 					continue
 				}
 				if math.IsNaN(got) || math.Abs(want-got) > batchTol {
-					t.Fatalf("step %d pair (%d,%d): batch %v vs scalar %v", i, j, kk, got, want)
+					t.Fatalf("%s step %d pair %v: batch %v vs scalar %v", name, i, pr, got, want)
 				}
 				if one != got {
-					t.Fatalf("step %d pair (%d,%d): 1×1 Score %v vs batch %v", i, j, kk, one, got)
+					t.Fatalf("%s step %d pair %v: one-pair Score %v vs batch %v", name, i, pr, one, got)
 				}
 			}
 		}
 	}
 }
 
-// TestScoreBatchParallelIdentical: worker count must not change a
-// single bit of the batch output (features are pair-indexed, roadProb
-// is deterministic, and the fused product is one shared matrix).
-func TestScoreBatchParallelIdentical(t *testing.T) {
-	m, sess := trainedModel(t)
-	i := 1
-	from := sess.Candidates(sess.ct, i-1, m.Cfg.K)
-	to := sess.Candidates(sess.ct, i, m.Cfg.K)
-	want := make([]float64, len(from)*len(to))
-	sess.ScoreBatch(sess.ct, i, from, to, want)
-	for _, workers := range []int{2, 3, 8} {
-		m.Cfg.Parallel = workers
-		got := make([]float64, len(want))
-		sess.ScoreBatch(sess.ct, i, from, to, got)
-		for p := range want {
-			if want[p] != got[p] && !(math.IsNaN(want[p]) && math.IsNaN(got[p])) {
-				t.Fatalf("workers=%d pair %d: %v vs %v", workers, p, got[p], want[p])
-			}
+// crossPairs lists the nFrom×nTo cross product of one Viterbi step.
+func crossPairs(nFrom, nTo int) []hmm.Pair {
+	pairs := make([]hmm.Pair, 0, nFrom*nTo)
+	for j := 0; j < nFrom; j++ {
+		for kk := 0; kk < nTo; kk++ {
+			pairs = append(pairs, hmm.Pair{From: j, To: kk})
 		}
 	}
-	m.Cfg.Parallel = 0
-}
-
-// TestParallelMatchIdentical: full end-to-end matching with the
-// parallel fan-out returns the same result as sequential. Run under
-// -race this also validates the concurrent session/router caches.
-func TestParallelMatchIdentical(t *testing.T) {
-	d := testDataset(t, 14)
-	m, err := Train(d, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nTrips := len(d.Test)
-	if nTrips > 4 {
-		nTrips = 4
-	}
-	want := make([]*hmm.Result, nTrips)
-	for i := 0; i < nTrips; i++ {
-		res, err := m.Match(d.Trips[d.Test[i]].Cell)
-		if err != nil {
-			t.Fatalf("sequential match %d: %v", i, err)
-		}
-		want[i] = res
-	}
-	for _, workers := range []int{2, 4} {
-		m.Cfg.Parallel = workers
-		for i := 0; i < nTrips; i++ {
-			res, err := m.Match(d.Trips[d.Test[i]].Cell)
-			if err != nil {
-				t.Fatalf("parallel match %d: %v", i, err)
-			}
-			if !reflect.DeepEqual(res.Matched, want[i].Matched) {
-				t.Fatalf("workers=%d trip %d: Matched diverged", workers, i)
-			}
-			if !reflect.DeepEqual(res.Path, want[i].Path) {
-				t.Fatalf("workers=%d trip %d: Path diverged", workers, i)
-			}
-			if res.Score != want[i].Score {
-				t.Fatalf("workers=%d trip %d: Score %v vs %v", workers, i, res.Score, want[i].Score)
-			}
-		}
-	}
-	m.Cfg.Parallel = 0
+	return pairs
 }

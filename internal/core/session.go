@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -18,9 +16,7 @@ import (
 	"repro/internal/traj"
 )
 
-// Inference telemetry (internal/obs). Counters are interned by name,
-// so "hmm.match.degraded" here is the same instrument the hmm matcher
-// increments for the fallbacks it sees.
+// Inference telemetry (internal/obs).
 var (
 	obsCoreMatches   = obs.Default.Counter("core.matches")
 	obsCoreMatchErrs = obs.Default.Counter("core.match.errors")
@@ -29,7 +25,6 @@ var (
 	obsRoadProbMiss  = obs.Default.Counter("core.roadprob.cache.misses")
 	obsObsBatched    = obs.Default.Counter("core.obs.batched.rows")
 	obsTransBatched  = obs.Default.Counter("core.trans.batched.rows")
-	obsCoreDegraded  = obs.Default.Counter("hmm.match.degraded")
 	obsCoreSanitized = obs.Default.Counter("hmm.match.sanitized")
 )
 
@@ -50,10 +45,10 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // whenever the trajectory has grown (stream.go). Scoring is otherwise
 // the same code: every learned score goes through the batched kernels
 // — the candidate pool as one pool×d product through the Eq. 7/8 MLPs,
-// each Viterbi step's k×k fan-out as one product through the Eq. 12
-// MLP (ScoreBatch). Single-candidate scores (shortcut pseudo-candidates,
-// the explain re-score) are one-row and 1×1 calls into the same
-// kernels.
+// every pair list the matcher scores (each Viterbi step's k×k fan-out,
+// each shortcut layer's pseudo-candidate edges) as one product through
+// the Eq. 12 MLP (ScoreBatch), and each shortcut layer's
+// pseudo-candidates as one obsScoreBatch (Score).
 type session struct {
 	m *Model
 	// ct is the trajectory seen so far (the whole trajectory offline).
@@ -77,7 +72,7 @@ type session struct {
 	// roadP memoizes Eq. 10 per segment for the current keys.
 	roadP map[roadnet.SegmentID]float64
 
-	// routes is ScoreBatch's per-pair route scratch, reused across steps.
+	// routes is ScoreBatch's per-pair route scratch, reused across calls.
 	routes []roadnet.Route
 
 	// obsZ caches, per point, the softmax denominator over the
@@ -85,12 +80,6 @@ type session struct {
 	// of the point); obsMax the max score for stable exponentials.
 	obsZ   []float64
 	obsMax []float64
-
-	// deg counts degraded-mode fallbacks of single-pair transition
-	// scores (transAdapter.Score: shortcut pseudo-candidates and the
-	// explain re-score); the Viterbi fan-out reports its own through
-	// ScoreBatch's return value. Folded into Result.Degraded by Match.
-	deg atomic.Int64
 
 	// span, when non-nil, is the request's match span; observation-
 	// scoring wall-clock accumulates into obsT (first call stamped in
@@ -422,19 +411,20 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 }
 
 // Score implements hmm.ObservationModel for shortcut pseudo-candidates:
-// a one-row obsScoreBatch normalized by the point's cached pool softmax.
-func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
+// one obsScoreBatch over all of them, normalized by the cached pool
+// softmax of point i (the matcher only scores pseudo-candidates of a
+// point whose Candidates it took). A candidate outside the pool can
+// score far above the pool max and overflow to +Inf; the matcher
+// degrades that like any non-finite P_O.
+func (s *session) Score(ct traj.CellTrajectory, i int, cands []hmm.Candidate) {
 	s.extend(ct)
 	ws := s.scratch()
 	defer s.done(ws)
-	sc := ws.TakeVec(1)
-	s.obsScoreBatch(ws, i, []hmm.Candidate{*c}, sc)
-	if s.obsZ[i] == 0 {
-		// Candidates was never called for this point (single-point
-		// trajectories bypass transitions); fall back to the sigmoid.
-		return 1 / (1 + math.Exp(-sc[0]))
+	sc := ws.TakeVec(len(cands))
+	s.obsScoreBatch(ws, i, cands, sc)
+	for j, v := range sc {
+		cands[j].Obs = math.Exp(v-s.obsMax[i]) / s.obsZ[i]
 	}
-	return math.Exp(sc[0]-s.obsMax[i]) / s.obsZ[i]
 }
 
 // roadProbFill computes every Eq. 10 road probability the routes
@@ -483,66 +473,37 @@ func (s *session) roadProbFill(ws *nn.Workspace, routes []roadnet.Route) {
 	}
 }
 
-// ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
-// transition fan-out of one Viterbi step in a single fused-MLP batch.
-// Route construction runs on Cfg.Parallel workers (the router's SSSP
-// cache is concurrency-safe), then every road probability the step's
-// routes reference is batch-filled in one shot (roadProbFill), the
-// explicit features are assembled from the warm memo, and one (k·k)×3
-// matrix product through the Eq. 12 fuse MLP scores every reachable
-// pair at once. The per-step straight-line distance is hoisted out of
-// the pair loop. Results do not depend on the worker count: feature
-// rows are pair-indexed and the MLP products are row-independent. It
-// returns how many pairs fell back to degraded mode.
-func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
+// ScoreBatch implements hmm.TransitionBatchModel: every pair of the
+// list in a single fused-MLP batch, whether the list is a Viterbi
+// step's k×k fan-out or a shortcut layer's pseudo-candidate edges. A
+// route per pair comes first, then every road probability the routes
+// reference is batch-filled in one shot (roadProbFill), the explicit
+// features are assembled from the warm memo, and one n×3 matrix
+// product through the Eq. 12 fuse MLP scores every reachable pair at
+// once. The straight-line distance into point i is hoisted out of the
+// pair loop. Feature rows are pair-indexed and the MLP products are
+// row-independent, so a pair's score does not depend on the rest of
+// the list. It returns how many pairs fell back to degraded mode.
+func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, pairs []hmm.Pair, out []float64) int {
 	s.extend(ct)
-	nFrom, nTo := len(from), len(to)
-	nPairs := nFrom * nTo
+	nPairs := len(pairs)
 	straight := ct[i-1].P.Dist(ct[i].P)
 	if cap(s.routes) < nPairs {
 		s.routes = make([]roadnet.Route, nPairs)
 	}
 	routes := s.routes[:nPairs]
 
-	// Phase 1: a route per pair, fanned out over workers. out doubles as
-	// the reachability mask (NaN = unreachable); an unreachable pair
-	// keeps an empty route.
-	routePair := func(p int) {
-		j, kk := p/nTo, p%nTo
-		route, ok := s.m.Router.RouteBetween(from[j].Pos(), to[kk].Pos())
+	// Phase 1: a route per pair. out doubles as the reachability mask
+	// (NaN = unreachable); an unreachable pair keeps an empty route.
+	for p, pr := range pairs {
+		route, ok := s.m.Router.RouteBetween(from[pr.From].Pos(), to[pr.To].Pos())
 		if !ok || len(route.Segs) == 0 {
 			routes[p] = roadnet.Route{}
 			out[p] = math.NaN()
-			return
+			continue
 		}
 		routes[p] = route
 		out[p] = 0
-	}
-	workers := s.m.Cfg.Parallel
-	if workers > nPairs {
-		workers = nPairs
-	}
-	if workers <= 1 {
-		for p := 0; p < nPairs; p++ {
-			routePair(p)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					p := int(next.Add(1)) - 1
-					if p >= nPairs {
-						return
-					}
-					routePair(p)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 
 	// Phase 2: batch every unmemoized road probability the step needs,
@@ -606,23 +567,16 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 
 // transAdapter exposes the session's transition scoring under the
 // hmm.TransitionModel method names (the session's own Score is taken by
-// hmm.ObservationModel).
-type transAdapter struct{ s *session }
+// hmm.ObservationModel); ScoreBatch is the embedded session's.
+type transAdapter struct{ *session }
 
-// Score is the learned transition probability of Eq. 12 for one pair:
-// a 1×1 ScoreBatch. Used by the shortcut pass and the explain re-score.
+// Score is the learned transition probability of Eq. 12 for one pair,
+// as a one-pair ScoreBatch. The matcher always takes ScoreBatch; Score
+// exists because hmm.TransitionModel requires it.
 func (t transAdapter) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
 	var out [1]float64
-	t.s.deg.Add(int64(t.s.ScoreBatch(ct, i, []hmm.Candidate{*from}, []hmm.Candidate{*to}, out[:])))
-	if math.IsNaN(out[0]) {
-		return 0, false
-	}
-	return out[0], true
-}
-
-// ScoreBatch forwards the batched fan-out (hmm.TransitionBatchModel).
-func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
-	return t.s.ScoreBatch(ct, i, from, to, out)
+	t.ScoreBatch(ct, i, []hmm.Candidate{*from}, []hmm.Candidate{*to}, []hmm.Pair{{}}, out[:])
+	return out[0], !math.IsNaN(out[0])
 }
 
 // matcher wraps a session in an hmm.Matcher with the model's router.
@@ -710,7 +664,6 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		// with what the matcher sees); do not re-run it inside.
 		Sanitize:         traj.SanitizeOff,
 		Trace:            m.Cfg.Trace,
-		Parallel:         m.Cfg.Parallel,
 		Explain:          m.Cfg.Explain,
 		ExplainTopK:      m.Cfg.ExplainTopK,
 		ExplainLowMargin: m.Cfg.ExplainLowMargin,
@@ -725,12 +678,6 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		return nil, err
 	}
 	res.Sanitize = srep
-	if d := int(sess.deg.Load()); d > 0 {
-		// Fold the single-pair fallbacks into the result and the
-		// shared degraded counter (the hmm layer counted the fan-out's).
-		res.Degraded += d
-		obsCoreDegraded.Add(int64(d))
-	}
 	if msp != nil {
 		msp.SetAttr("degraded", res.Degraded)
 		msp.SetAttr("gaps", len(res.Gaps))

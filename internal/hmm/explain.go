@@ -248,9 +248,7 @@ func (m *Matcher) buildExplain(ct traj.CellTrajectory, es *explainState,
 				if math.IsNaN(w) {
 					// The memoized entry was displaced by a shortcut
 					// pseudo-candidate; re-score this one transition.
-					if ws, ok := m.stepScore(ct, i, prevCand, cand, nil); ok {
-						w = ws
-					}
+					w, _ = m.scorePair(ct, i, layers[p], layers[i], Pair{prevIdx, chosen})
 				}
 				choice.TransScore = finiteOr(w, 0)
 				if route, ok := m.Router.RouteBetween(prevCand.Pos(), cand.Pos()); ok {

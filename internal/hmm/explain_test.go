@@ -278,8 +278,9 @@ func TestScoreMargin(t *testing.T) {
 	}
 }
 
-// With explain and drift disabled, the memoized per-step scoring stays
-// allocation-free (the hot path the acceptance gate pins).
+// With explain and drift disabled, the single-pair entry into the
+// matcher's one transition-scoring path (scorePair → scorePairs) stays
+// allocation-free once warm (the hot path the acceptance gate pins).
 func TestStepScoreNoAllocs(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	m := classicMatcher(net, r, 5, 0)
@@ -289,15 +290,15 @@ func TestStepScoreNoAllocs(t *testing.T) {
 	if len(from) == 0 || len(to) == 0 {
 		t.Fatal("no candidates")
 	}
-	// Warm the router's route cache: the steady-state hot path is a
-	// cache hit.
-	if _, ok := m.stepScore(ct, 1, &from[0], &to[0], nil); !ok {
+	// Warm the router's route cache and the pooled scratch: the
+	// steady-state hot path is a cache hit into already-sized buffers.
+	if _, ok := m.scorePair(ct, 1, from, to, Pair{}); !ok {
 		t.Fatal("transition unreachable")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.stepScore(ct, 1, &from[0], &to[0], nil)
+		m.scorePair(ct, 1, from, to, Pair{})
 	})
 	if allocs != 0 {
-		t.Errorf("stepScore allocates %.1f/op on the warm path, want 0", allocs)
+		t.Errorf("scorePair allocates %.1f/op on the warm path, want 0", allocs)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -99,9 +98,10 @@ type ObservationModel interface {
 	// trajectory, each with its observation probability, sorted by
 	// descending probability.
 	Candidates(ct traj.CellTrajectory, i, k int) []Candidate
-	// Score fills the observation probability for an arbitrary
-	// candidate of point i (used to score shortcut pseudo-candidates).
-	Score(ct traj.CellTrajectory, i int, c *Candidate) float64
+	// Score fills cands[j].Obs with the observation probability of each
+	// arbitrary candidate of point i: the shortcut pass scores all the
+	// pseudo-candidates it projects onto one point in one call.
+	Score(ct traj.CellTrajectory, i int, cands []Candidate)
 }
 
 // TransitionModel scores the movement between candidates of consecutive
@@ -113,20 +113,25 @@ type TransitionModel interface {
 	Score(ct traj.CellTrajectory, i int, from, to *Candidate) (float64, bool)
 }
 
+// Pair indexes one transition of a pair list: from[From] → to[To].
+type Pair struct{ From, To int }
+
 // TransitionBatchModel is an optional fast path a TransitionModel may
-// implement: score the whole |from|×|to| transition fan-out of one
-// Viterbi step in a single call, so implementations can batch their
-// per-pair inference (one k²×d matrix product instead of k² row
-// products) and parallelize route construction internally. Both
-// drivers (Matcher and StreamMatcher) prefer it over pairwise Score
-// when present; both must return the same probabilities.
+// implement: score a whole pair list in a single call, so
+// implementations can batch their per-pair inference (one n×d matrix
+// product instead of n row products). The matcher hands it every
+// transition it scores — each Viterbi step's |from|×|to| fan-out, and
+// each shortcut layer's pseudo-candidate pairs — and prefers it over
+// pairwise Score when present; both must return the same
+// probabilities.
 type TransitionBatchModel interface {
-	// ScoreBatch fills out[j*len(to)+kk] with P_T(from[j] → to[kk]) for
-	// movement into point i, or NaN where the movement is impossible.
-	// out has length len(from)*len(to). It returns how many pairs the
-	// model itself degraded to a fallback score (non-finite model
-	// output); the driver adds them to its degraded count.
-	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int
+	// ScoreBatch fills out[p] with P_T(from[pairs[p].From] →
+	// to[pairs[p].To]) for movement into point i, or NaN where the
+	// movement is impossible. out has length len(pairs). It returns how
+	// many pairs the model itself degraded to a fallback score
+	// (non-finite model output); the driver adds them to its degraded
+	// count.
+	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, pairs []Pair, out []float64) int
 }
 
 // BreakPolicy selects how the matcher treats a dead point — one whose
@@ -306,16 +311,6 @@ type Config struct {
 	// ExplainLowMargin is the margin (nats) below which a decision is
 	// flagged low-confidence (default 0.05).
 	ExplainLowMargin float64
-	// Parallel bounds the worker pool the per-step transition fan-out
-	// runs on, in Match and StreamMatcher.Push alike, when the
-	// transition model only supports pairwise Score (a
-	// TransitionBatchModel parallelizes internally and ignores it).
-	// <=1 keeps the fan-out on the calling goroutine. Values >1 require
-	// Trans.Score (and the router behind it) to be safe for concurrent
-	// use; the matched output is identical either way because the
-	// Viterbi recurrence itself always runs sequentially over the
-	// filled step table.
-	Parallel int
 }
 
 // Matcher runs HMM path-finding with pluggable probability models —
@@ -336,9 +331,8 @@ func (m *Matcher) Match(ct traj.CellTrajectory) (*Result, error) {
 
 // MatchContext is Match with cancellation: the context is checked
 // between points during candidate preparation and between Viterbi
-// steps (and inside the parallel transition fan-out), so a canceled or
-// deadline-expired context stops the match within one step's work and
-// returns the context error wrapped.
+// steps, so a canceled or deadline-expired context stops the match
+// within one step's work and returns the context error wrapped.
 func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Result, error) {
 	if len(ct) == 0 {
 		obsMatchErrors.Inc()
@@ -384,7 +378,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		start = time.Now()
 	}
 	var nCand, nEval, nBlocked int64
-	var deg atomic.Int64 // degraded-mode scoring events this match
+	deg := 0 // degraded-mode scoring events this match
 	var es *explainState
 	if m.Cfg.Explain {
 		es = newExplainState(len(ct), m.Cfg.ExplainTopK, m.Cfg.ExplainLowMargin)
@@ -406,21 +400,12 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		if fpDeadCandidates.Fail() {
 			layer = nil
 		}
-		// Degraded mode: a NaN/Inf observation probability would poison
-		// every path through this point; fall back to the classical
-		// Eq. 2 Gaussian of the candidate's distance.
+		var fell []bool
 		if es != nil && len(layer) > 0 {
-			es.fellback[i] = make([]bool, len(layer))
+			fell = make([]bool, len(layer))
+			es.fellback[i] = fell
 		}
-		for j := range layer {
-			if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
-				layer[j].Obs = m.fallbackObs(layer[j].Dist)
-				deg.Add(1)
-				if es != nil {
-					es.fellback[i][j] = true
-				}
-			}
-		}
+		deg += m.degradeObs(layer, fell)
 		layers[i] = layer
 		if len(layer) == 0 {
 			if m.Cfg.OnBreak == BreakError {
@@ -475,7 +460,6 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	first := alive[0]
 	f[first], pre[first], _, _ = m.advance(nil, layers[first], nil)
 	var nBreaks int64
-	var batchBuf []float64 // reused across steps by the batch-model path
 	for ai := 1; ai < len(alive); ai++ {
 		if err := ctx.Err(); err != nil {
 			obsMatchErrors.Inc()
@@ -490,13 +474,12 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			continue
 		}
 		// Phase 1: score the whole transition fan-out into the step
-		// table — batched, parallel, or pairwise-sequential.
+		// table in one scorePairs call.
 		tdone := stage(&st.TransitionS)
 		steps[i] = stepTable(nil, len(layers[i-1]), len(layers[i]))
-		batchBuf = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], steps[i], batchBuf, &deg)
+		deg += m.fillSteps(ct, i, layers[i-1], layers[i], steps[i])
 		tdone()
-		// Phase 2: the Viterbi recurrence over the memoized table,
-		// always sequential so results do not depend on scheduling.
+		// Phase 2: the Viterbi recurrence over the memoized table.
 		var restarts, reachable int
 		f[i], pre[i], restarts, reachable = m.advance(f[i-1], layers[i], steps[i])
 		evaluated := len(layers[i]) * len(layers[i-1])
@@ -521,7 +504,9 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	done = stage(&st.ShortcutsS)
 	adoptions, attempts := 0, 0
 	if m.Cfg.Shortcuts > 0 && len(alive) >= 3 {
-		adoptions, attempts = m.addShortcuts(ct, layers, f, pre, steps, &deg)
+		var sdeg int
+		adoptions, attempts, sdeg = m.addShortcuts(ct, layers, f, pre, steps)
+		deg += sdeg
 	}
 	done()
 
@@ -615,10 +600,10 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		obsExplainLowMargin.Add(nLowMargin)
 	}
 	if obs.DefaultDrift.Enabled() {
-		feedDrift(keep, deg.Load(), nCand, nEval)
+		feedDrift(keep, int64(deg), nCand, nEval)
 	}
 
-	res.Degraded = int(deg.Load())
+	res.Degraded = deg
 	obsMatches.Inc()
 	obsCandidates.Add(nCand)
 	obsTransEval.Add(nEval)
@@ -627,7 +612,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	obsShortcutTries.Add(int64(attempts))
 	obsShortcutAdopt.Add(int64(adoptions))
 	obsPointsSkipped.Add(nSkipped)
-	obsMatchDegraded.Add(deg.Load())
+	obsMatchDegraded.Add(int64(deg))
 	obsMatchGaps.Add(int64(len(res.Gaps)))
 	obsDeadPoints.Add(int64(deadCount))
 	if timed {
@@ -718,130 +703,132 @@ func (m *Matcher) advance(fPrev []float64, to []Candidate, steps [][]float64) (f
 	return f, pre, restarts, reachable
 }
 
-// stepTable returns an nFrom×nTo step table with every entry NaN
-// (unreachable), reusing t's storage where it is large enough.
+// stepTable returns an nFrom×nTo step table whose rows are consecutive
+// windows of one row-major block, so steps[0][:nFrom*nTo] views the
+// whole table: the layout fillSteps scores into. It reuses t's storage
+// where it is large enough.
 func stepTable(t [][]float64, nFrom, nTo int) [][]float64 {
+	var block []float64
+	if len(t) > 0 {
+		block = t[0][:cap(t[0])]
+	}
+	block = resize(block, nFrom*nTo)
 	if cap(t) < nFrom {
 		t = make([][]float64, nFrom)
 	}
 	t = t[:nFrom]
 	for j := range t {
-		if cap(t[j]) < nTo {
-			t[j] = make([]float64, nTo)
-		}
-		t[j] = t[j][:nTo]
-		for kk := range t[j] {
-			t[j][kk] = math.NaN()
-		}
+		t[j] = block[j*nTo : (j+1)*nTo]
 	}
 	return t
 }
 
-// fillSteps populates the step table for the transition into point i:
-// steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN where
-// unreachable. A TransitionBatchModel scores the whole fan-out in one
-// call; otherwise pairwise Score runs on Cfg.Parallel workers (each
-// owning a disjoint set of target columns, so no write contention and
-// scheduling cannot change the table). Workers drain early when ctx is
-// canceled; the caller's per-step ctx check surfaces the error. It
-// returns the (possibly grown) scratch buffer for reuse by the next
-// step.
-func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, steps [][]float64, buf []float64, deg *atomic.Int64) []float64 {
-	if bm, ok := m.Trans.(TransitionBatchModel); ok {
-		nTo := len(to)
-		if need := len(from) * nTo; cap(buf) < need {
-			buf = make([]float64, need)
-		} else {
-			buf = buf[:need]
-		}
-		deg.Add(int64(bm.ScoreBatch(ct, i, from, to, buf)))
-		for j := range from {
-			row := steps[j]
-			base := j * nTo
-			for kk := range to {
-				// NaN is the batch protocol's unreachable sentinel; an
-				// Inf, however, is a misbehaving model — degrade it.
-				pt := buf[base+kk]
-				if math.IsInf(pt, 0) {
-					var ok bool
-					pt, ok = m.fallbackTrans(ct, i, &from[j], &to[kk])
-					deg.Add(1)
-					if !ok {
-						continue
-					}
-				}
-				if !math.IsNaN(pt) {
-					row[kk] = m.accum(pt * to[kk].Obs)
-				}
-			}
-		}
-		return buf
-	}
-	workers := m.Cfg.Parallel
-	if workers > len(to) {
-		workers = len(to)
-	}
-	scoreCol := func(kk int) {
-		for j := range from {
-			if w, ok := m.stepScore(ct, i, &from[j], &to[kk], deg); ok {
-				steps[j][kk] = w
-			}
-		}
-	}
-	if workers <= 1 {
-		for kk := range to {
-			if ctx.Err() != nil {
-				return buf
-			}
-			scoreCol(kk)
-		}
-		return buf
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				kk := int(next.Add(1)) - 1
-				if kk >= len(to) {
-					return
-				}
-				scoreCol(kk)
-			}
-		}()
-	}
-	wg.Wait()
-	return buf
+// pairScratch is a reusable pair list and score buffer, pooled so that
+// steady matching does not reallocate the k²-sized pair list per step.
+type pairScratch struct {
+	pairs []Pair
+	w     []float64
 }
 
-// stepScore is Eq. 13: W(a→b) = P_T(a→b) · P_O(b|x_i), accumulated
-// per the configured scoring. A NaN/Inf transition probability (a
-// misbehaving learned model) degrades to the classical Eq. 3
-// exponential instead of poisoning the Viterbi table; deg (optional)
-// counts those events.
-func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, deg *atomic.Int64) (float64, bool) {
-	pt, ok := m.Trans.Score(ct, i, from, to)
-	if fpTransNaN.Fail() {
-		pt = math.NaN()
+var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
+
+// fillSteps populates the step table (from stepTable) for the
+// transition into point i: steps[j][kk] = accum(P_T(from[j]→to[kk]) ·
+// P_O(to[kk])), NaN where unreachable, as one scorePairs call over the
+// whole fan-out in row-major order, written straight into the table's
+// block. It returns the degraded-event count.
+func (m *Matcher) fillSteps(ct traj.CellTrajectory, i int, from, to []Candidate, steps [][]float64) int {
+	sc := scratchPool.Get().(*pairScratch)
+	defer scratchPool.Put(sc)
+	n := len(from) * len(to)
+	if cap(sc.pairs) < n {
+		sc.pairs = make([]Pair, 0, n)
 	}
-	if !ok {
-		return 0, false
-	}
-	if math.IsNaN(pt) || math.IsInf(pt, 0) {
-		if deg != nil {
-			deg.Add(1)
+	sc.pairs = sc.pairs[:0]
+	for j := range from {
+		for kk := range to {
+			sc.pairs = append(sc.pairs, Pair{j, kk})
 		}
-		pt, ok = m.fallbackTrans(ct, i, from, to)
+	}
+	return m.scorePairs(ct, i, from, to, sc.pairs, steps[0][:n])
+}
+
+// scorePair is the one-pair scorePairs of from[pr.From] → to[pr.To]
+// (the explain re-score of a transition the match already scored, so
+// its degraded events are not counted again); ok=false means
+// unreachable.
+func (m *Matcher) scorePair(ct traj.CellTrajectory, i int, from, to []Candidate, pr Pair) (float64, bool) {
+	sc := scratchPool.Get().(*pairScratch)
+	defer scratchPool.Put(sc)
+	sc.pairs = append(sc.pairs[:0], pr)
+	sc.w = resize(sc.w, 1)
+	m.scorePairs(ct, i, from, to, sc.pairs, sc.w)
+	return sc.w[0], !math.IsNaN(sc.w[0])
+}
+
+// scorePairs is Eq. 13 over a pair list: it fills w[p] with
+// W = accum(P_T(from→to) · P_O(to|x_i)) for pairs[p], NaN where the
+// movement is unreachable. It is the matcher's only caller of the
+// transition model: a TransitionBatchModel scores the whole list in one
+// call, a pairwise model is called once per pair in list order. A
+// non-finite transition probability (a misbehaving learned model)
+// degrades to the classical Eq. 3 exponential instead of poisoning the
+// Viterbi table; the return value counts those events. Under the batch
+// protocol NaN means unreachable, so only an Inf degrades there.
+func (m *Matcher) scorePairs(ct traj.CellTrajectory, i int, from, to []Candidate, pairs []Pair, w []float64) int {
+	deg := 0
+	bm, batched := m.Trans.(TransitionBatchModel)
+	if batched {
+		deg = bm.ScoreBatch(ct, i, from, to, pairs, w)
+	}
+	for p, pr := range pairs {
+		a, b := &from[pr.From], &to[pr.To]
+		pt, ok := w[p], !math.IsNaN(w[p])
+		if !batched {
+			pt, ok = m.Trans.Score(ct, i, a, b)
+			if fpTransNaN.Fail() {
+				pt = math.NaN()
+			}
+		}
+		if ok && (math.IsNaN(pt) || math.IsInf(pt, 0)) {
+			deg++
+			pt, ok = m.fallbackTrans(ct, i, a, b)
+		}
 		if !ok {
-			return 0, false
+			w[p] = math.NaN()
+			continue
+		}
+		w[p] = m.accum(pt * b.Obs)
+	}
+	return deg
+}
+
+// resize returns w with length n, reusing its storage when large
+// enough.
+func resize(w []float64, n int) []float64 {
+	if cap(w) < n {
+		return make([]float64, n)
+	}
+	return w[:n]
+}
+
+// degradeObs replaces every non-finite observation probability in
+// cands with the classical Eq. 2 Gaussian of the candidate's distance
+// (degraded mode: a NaN/Inf P_O would poison every path through the
+// point) and returns how many it replaced. fell, when non-nil, marks
+// the replaced entries.
+func (m *Matcher) degradeObs(cands []Candidate, fell []bool) int {
+	deg := 0
+	for j := range cands {
+		if o := cands[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
+			cands[j].Obs = m.fallbackObs(cands[j].Dist)
+			deg++
+			if fell != nil {
+				fell[j] = true
+			}
 		}
 	}
-	return m.accum(pt * to.Obs), true
+	return deg
 }
 
 // fallbackObs is the degraded-mode observation probability: the

@@ -223,7 +223,9 @@ func TestGaussianObservation(t *testing.T) {
 	}
 	// Zero sigma falls back to a sane default rather than NaN.
 	g0 := &GaussianObservation{Net: net}
-	if s := g0.Score(ct, 0, &cands[0]); math.IsNaN(s) || s <= 0 {
+	one := []Candidate{cands[0]}
+	g0.Score(ct, 0, one)
+	if s := one[0].Obs; math.IsNaN(s) || s <= 0 {
 		t.Errorf("default-sigma score = %v", s)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -278,17 +279,60 @@ func TestDegradedTransFallback(t *testing.T) {
 	}
 }
 
+// infPseudoObs scores every shortcut pseudo-candidate +Inf (an
+// overflowing learned P_O for a road outside the candidate pool) while
+// layer candidates keep their Gaussian scores: Score is only reached
+// through the shortcut pass.
+type infPseudoObs struct{ ObservationModel }
+
+func (o infPseudoObs) Score(ct traj.CellTrajectory, i int, cands []Candidate) {
+	for j := range cands {
+		cands[j].Obs = math.Inf(1)
+	}
+}
+
+// TestDegradedPseudoObsFallback: a non-finite pseudo-candidate P_O
+// degrades to the Eq. 2 fallback like a layer candidate's, instead of
+// winning every shortcut comparison and driving the match score to
+// +Inf. With the fallback σ equal to the classical σ, the match equals
+// the plain Gaussian matcher's.
+func TestDegradedPseudoObsFallback(t *testing.T) {
+	net, r := gridWorld(t, 8, 5)
+	ct := lineTraj()
+	want, err := classicMatcher(net, r, 6, 1).Match(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := classicMatcher(net, r, 6, 1)
+	m.Obs = infPseudoObs{m.Obs}
+	m.Cfg.FallbackSigma = 100 // the classical matcher's sigma
+	res, err := m.Match(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(res.Score, 0) || math.IsNaN(res.Score) {
+		t.Fatalf("score %v: a non-finite pseudo-candidate P_O reached the Viterbi table", res.Score)
+	}
+	if res.Degraded == 0 {
+		t.Error("no degraded events counted for the pseudo-candidates")
+	}
+	if res.Score != want.Score || res.ShortcutAdoptions != want.ShortcutAdoptions {
+		t.Errorf("score %v, %d adoptions; Gaussian matcher %v, %d adoptions",
+			res.Score, res.ShortcutAdoptions, want.Score, want.ShortcutAdoptions)
+	}
+	if !reflect.DeepEqual(res.Matched, want.Matched) {
+		t.Error("matched candidates differ from the Gaussian matcher's")
+	}
+}
+
 func TestMatchContextCancel(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []int{0, 4} {
-		m := classicMatcher(net, r, 5, 0)
-		m.Cfg.Parallel = parallel
-		_, err := m.MatchContext(ctx, lineTraj())
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel=%d: err = %v, want context.Canceled", parallel, err)
-		}
+	m := classicMatcher(net, r, 5, 0)
+	_, err := m.MatchContext(ctx, lineTraj())
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -317,7 +361,7 @@ func TestMatchSanitize(t *testing.T) {
 
 // TestChaosFailpoints arms the matcher-level failpoints and checks the
 // Skip policy absorbs injected dead candidate sets and NaN transition
-// scores without errors or panics, sequentially and in parallel.
+// scores without errors or panics.
 func TestChaosFailpoints(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	net, r := gridWorld(t, 6, 6)
@@ -326,22 +370,19 @@ func TestChaosFailpoints(t *testing.T) {
 		"hmm.trans.nan:2",
 		"hmm.candidates.empty:4,hmm.trans.nan:3",
 	} {
-		for _, parallel := range []int{0, 4} {
-			faultinject.DisarmAll()
-			if err := faultinject.Arm(spec); err != nil {
-				t.Fatal(err)
+		faultinject.DisarmAll()
+		if err := faultinject.Arm(spec); err != nil {
+			t.Fatal(err)
+		}
+		m := classicMatcher(net, r, 5, 1)
+		m.Cfg.OnBreak = BreakSkip
+		for trial := 0; trial < 4; trial++ {
+			res, err := m.Match(lineTraj())
+			if err != nil {
+				t.Fatalf("spec %q: %v", spec, err)
 			}
-			m := classicMatcher(net, r, 5, 1)
-			m.Cfg.OnBreak = BreakSkip
-			m.Cfg.Parallel = parallel
-			for trial := 0; trial < 4; trial++ {
-				res, err := m.Match(lineTraj())
-				if err != nil {
-					t.Fatalf("spec %q parallel %d: %v", spec, parallel, err)
-				}
-				if len(res.Matched) != 5 {
-					t.Fatalf("spec %q: matched %d points", spec, len(res.Matched))
-				}
+			if len(res.Matched) != 5 {
+				t.Fatalf("spec %q: matched %d points", spec, len(res.Matched))
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package hmm
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -15,60 +14,81 @@ import (
 // project x_{i-1} onto it to restore a pseudo-candidate c_{i-1}^u, and
 // adopt the shortcut when its score (Eq. 21) beats the current f[c_i^k].
 //
+// Each layer i runs in three phases. It gathers every attempt (routing
+// and projecting u) in (k, j) order, then scores all the layer's
+// pseudo-candidates in one observation call and all its shortcut edges
+// in two scorePairs calls — c_{i-2}^j → u into point i-1, and
+// u → c_i^k into point i — and only then takes the adoption decisions
+// in attempt order. No score depends on an earlier adoption in the
+// layer, so batching leaves the decisions unchanged. Pseudo-candidates
+// get the same degraded-mode observation fallback as layer candidates.
+//
 // Adopted pseudo-candidates are appended to layer i-1 with their f and
 // pre entries, so the backward pass can walk through them.
 //
-// It returns how many table entries improved (adoptions) and how many
-// shortcut constructions were examined (attempts) for telemetry.
-func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *atomic.Int64) (adoptions, attempts int) {
-	n := len(ct)
-	for i := 2; i < n; i++ {
+// It returns how many table entries improved (adoptions), how many
+// shortcut constructions were examined (attempts), and how many scores
+// degraded to the classical fallbacks.
+func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64) (adoptions, attempts, deg int) {
+	// A layer's projected attempts: us[q] is the pseudo-candidate of
+	// attempt q, leg1[q] its edge c_{i-2}^j → us[q], leg2[q] its edge
+	// us[q] → c_i^kk.
+	var us []Candidate
+	var leg1, leg2 []Pair
+	var w1, w2 []float64
+	for i := 2; i < len(ct); i++ {
 		// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead
 		// point anywhere in the window leaves its step table nil (the
 		// chain restarted there) and the window is skipped.
 		if steps[i] == nil || steps[i-1] == nil {
 			continue
 		}
-		// Pre-compute, per middle candidate l, its best grand-predecessor
-		// score: bestTwo[l] pairs with Eq. 20's inner max over j.
+		us, leg1, leg2 = us[:0], leg1[:0], leg2[:0]
 		nCur := len(layers[i]) // layers may grow behind us; bound to the original set
 		for kk := 0; kk < nCur; kk++ {
 			cur := &layers[i][kk]
 			if cur.pseudo {
 				continue
 			}
-			preds := m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
-			for _, j := range preds {
+			for _, j := range m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts) {
 				attempts++
-				grand := &layers[i-2][j]
-				route, ok := m.Router.RouteBetween(grand.Pos(), cur.Pos())
+				route, ok := m.Router.RouteBetween(layers[i-2][j].Pos(), cur.Pos())
 				if !ok || len(route.Segs) == 0 {
 					continue
 				}
-				u, ok := m.projectOntoRoute(route, ct[i-1])
-				if !ok {
-					continue
-				}
-				u.Obs = m.Obs.Score(ct, i-1, &u)
-				w1, ok1 := m.stepScore(ct, i-1, grand, &u, deg)
-				w2, ok2 := m.stepScore(ct, i, &u, cur, deg)
-				if !ok1 || !ok2 {
-					continue
-				}
-				fPrime := f[i-2][j] + w1 + w2
-				if fPrime > f[i][kk] {
-					adoptions++
-					// Materialize the pseudo-candidate in layer i-1.
-					layers[i-1] = append(layers[i-1], u)
-					f[i-1] = append(f[i-1], f[i-2][j]+w1)
-					pre[i-1] = append(pre[i-1], j)
-					f[i][kk] = fPrime
-					pre[i][kk] = len(layers[i-1]) - 1
+				if u, ok := m.projectOntoRoute(route, ct[i-1]); ok {
+					leg1 = append(leg1, Pair{j, len(us)})
+					leg2 = append(leg2, Pair{len(us), kk})
+					us = append(us, u)
 				}
 			}
 		}
+		if len(us) == 0 {
+			continue
+		}
+		m.Obs.Score(ct, i-1, us)
+		deg += m.degradeObs(us, nil)
+		w1, w2 = resize(w1, len(us)), resize(w2, len(us))
+		deg += m.scorePairs(ct, i-1, layers[i-2], us, leg1, w1)
+		deg += m.scorePairs(ct, i, us, layers[i], leg2, w2)
+		for q := range us {
+			j, kk := leg1[q].From, leg2[q].To
+			if math.IsNaN(w1[q]) || math.IsNaN(w2[q]) {
+				continue
+			}
+			fPrime := f[i-2][j] + w1[q] + w2[q]
+			if fPrime > f[i][kk] {
+				adoptions++
+				// Materialize the pseudo-candidate in layer i-1.
+				layers[i-1] = append(layers[i-1], us[q])
+				f[i-1] = append(f[i-1], f[i-2][j]+w1[q])
+				pre[i-1] = append(pre[i-1], j)
+				f[i][kk] = fPrime
+				pre[i][kk] = len(layers[i-1]) - 1
+			}
+		}
 	}
-	return adoptions, attempts
+	return adoptions, attempts, deg
 }
 
 // bestOneHopPredecessors returns the indices (into layers[i-2]) of the

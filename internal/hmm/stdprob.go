@@ -28,19 +28,26 @@ func (g *GaussianObservation) Candidates(ct traj.CellTrajectory, i, k int) []Can
 		c := Candidate{Seg: sid}
 		c.Proj, c.Frac = g.Net.Project(sid, ct[i].P)
 		c.Dist = c.Proj.Dist(ct[i].P)
-		c.Obs = g.Score(ct, i, &c)
+		c.Obs = g.density(c.Dist)
 		out = append(out, c)
 	}
 	return out
 }
 
-// Score computes Eq. 2 for an arbitrary candidate.
-func (g *GaussianObservation) Score(ct traj.CellTrajectory, i int, c *Candidate) float64 {
+// Score computes Eq. 2 for arbitrary candidates.
+func (g *GaussianObservation) Score(ct traj.CellTrajectory, i int, cands []Candidate) {
+	for j := range cands {
+		cands[j].Obs = g.density(cands[j].Dist)
+	}
+}
+
+// density is Eq. 2 of a point-to-road distance.
+func (g *GaussianObservation) density(dist float64) float64 {
 	sigma := g.Sigma
 	if sigma <= 0 {
 		sigma = 450
 	}
-	z := (c.Dist - g.Mu) / sigma
+	z := (dist - g.Mu) / sigma
 	return math.Exp(-0.5 * z * z)
 }
 

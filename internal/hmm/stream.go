@@ -1,7 +1,6 @@
 package hmm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -57,9 +56,8 @@ type StreamMatcher struct {
 	lastT   float64
 	deg     atomic.Int64
 
-	// steps and buf are the step-fill scratch, reused across pushes.
+	// steps is the step table, reused across pushes.
 	steps [][]float64
-	buf   []float64
 }
 
 // NewStreamMatcher wraps a configured Matcher for streaming use.
@@ -116,12 +114,7 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 	if fpDeadCandidates.Fail() {
 		layer = nil
 	}
-	for j := range layer {
-		if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
-			layer[j].Obs = s.M.fallbackObs(layer[j].Dist)
-			s.deg.Add(1)
-		}
-	}
+	s.deg.Add(int64(s.M.degradeObs(layer, nil)))
 	if len(layer) == 0 {
 		if s.M.Cfg.OnBreak == BreakError {
 			obsStreamErrors.Inc()
@@ -150,7 +143,7 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 	if i > 0 && !s.dead[i-1] {
 		fPrev = s.f[i-1]
 		s.steps = stepTable(s.steps, len(s.layers[i-1]), len(layer))
-		s.buf = s.M.fillSteps(context.Background(), s.ct, i, s.layers[i-1], layer, s.steps, s.buf, &s.deg)
+		s.deg.Add(int64(s.M.fillSteps(s.ct, i, s.layers[i-1], layer, s.steps)))
 		steps = s.steps
 	}
 	f, pre, restarts, _ := s.M.advance(fPrev, layer, steps)

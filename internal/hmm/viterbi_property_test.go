@@ -30,7 +30,7 @@ func bruteBestScore(m *Matcher, ct traj.CellTrajectory, layers [][]Candidate) fl
 				rec(i+1, layers[0][j].Obs)
 				continue
 			}
-			w, ok := m.stepScore(ct, i, &layers[i-1][idx[i-1]], &layers[i][j], nil)
+			w, ok := m.scorePair(ct, i, layers[i-1], layers[i], Pair{idx[i-1], j})
 			if !ok {
 				continue
 			}
@@ -72,7 +72,7 @@ func TestViterbiOptimality(t *testing.T) {
 		for i := 1; i < n && reachableEverywhere; i++ {
 			for j := range layers[i-1] {
 				for k := range layers[i] {
-					if _, ok := m.stepScore(ct, i, &layers[i-1][j], &layers[i][k], nil); !ok {
+					if _, ok := m.scorePair(ct, i, layers[i-1], layers[i], Pair{j, k}); !ok {
 						reachableEverywhere = false
 					}
 				}

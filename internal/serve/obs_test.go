@@ -241,10 +241,9 @@ func TestQualityDegradedByFaultInjection(t *testing.T) {
 
 	t.Cleanup(faultinject.DisarmAll)
 	// core.trans.nan poisons every learned transition score: the
-	// batched Viterbi fan-out and the 1×1 calls of the shortcut pass.
-	// hmm.trans.nan poisons the matcher's pairwise step score, which
-	// the shortcut pass and classical models go through. The Viterbi
-	// fan-out of a learned match only reaches core.trans.nan.
+	// Viterbi fan-out and the shortcut edges, all batched pair lists.
+	// hmm.trans.nan poisons the matcher's pairwise branch, which only
+	// classical models reach, so a learned match sees core.trans.nan.
 	if err := faultinject.Arm("core.trans.nan,hmm.trans.nan"); err != nil {
 		t.Fatal(err)
 	}
